@@ -167,10 +167,15 @@ def _run_converge_boundary(cfg: RunConfig):
     lams = [Slope.parse(s) for s in cfg.options["slopes"]]
     rows = []
     results = []
+    certified = True
     for k in ks:
-        point = ptorus.dehn_twist(base, about, k)
+        try:
+            point = ptorus.dehn_twist(base, about, k)
+        except OverflowError as exc:
+            raise ValueError(f"--ks {k}: {exc}") from exc
         res = ptorus.thurston_distance(base, point, tol=cfg.tol, max_depth=cfg.max_depth)
         stretch = res.value
+        certified = certified and res.certified
         for s in lams:
             ell = ptorus.length(point, ptorus.WeightedLamination(1.0, s))
             rows.append((k, str(s), ell, stretch, ell / stretch))
@@ -194,14 +199,14 @@ def _run_converge_boundary(cfg: RunConfig):
             "max_depth": cfg.max_depth,
             "rows": results,
         }
-        return out, True
+        return out, certified
     header = ["k", "slope", "length", "L_X", "normalized_value"]
     meta = (
         f"# normalized length functional along twists about {about} of {base}"
         f" tol={cfg.tol!r} max_depth={cfg.max_depth} certified=false"
     )
     csv_rows = [(str(k), s, repr(l), repr(L), repr(nv)) for k, s, l, L, nv in rows]
-    return (meta, header, csv_rows), True
+    return (meta, header, csv_rows), certified
 
 
 def _run_converge_gm(cfg: RunConfig):
@@ -415,3 +420,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

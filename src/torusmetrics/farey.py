@@ -10,6 +10,10 @@ tree, so the node type below doubles as the search cell of the sup engine.
 Negative slopes carry p < 0, q > 0.  The tree over them is the mirror image
 (p -> -p) of the positive tree, which keeps one canonical label per curve
 class and avoids double counting.
+
+The sup engine walks plain tuple cells instead (see ``walk``), which carry a
+caller-defined state per slope, so a recursion over Farey triangles costs
+O(1) per slope.
 """
 
 from __future__ import annotations
@@ -52,6 +56,14 @@ class Slope:
             raise ValueError(f"slope {self.p}/{self.q} is not canonical; q must be positive")
         if math.gcd(abs(self.p), self.q) != 1:
             raise ValueError(f"slope {self.p}/{self.q} is not primitive")
+
+    @classmethod
+    def _unchecked(cls, p: int, q: int) -> "Slope":
+        """A slope already known to be canonical, such as a tree mediant."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "q", q)
+        return s
 
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
@@ -118,6 +130,17 @@ class FareyNode:
         if self.depth < 0:
             raise ValueError("node depth must be nonnegative")
 
+    @classmethod
+    def _of_cell(cls, cell: tuple) -> "FareyNode":
+        """The node of a walk cell, whose endpoints are neighbors by construction."""
+        lp, lq, rp, rq, depth, sign = cell[:6]
+        node = object.__new__(cls)
+        object.__setattr__(node, "left", Slope._unchecked(lp, lq))
+        object.__setattr__(node, "right", Slope._unchecked(rp, rq))
+        object.__setattr__(node, "depth", depth)
+        object.__setattr__(node, "mirrored", sign < 0)
+        return node
+
     def mediant_slope(self) -> Slope:
         m = Slope(self.left.p + self.right.p, self.left.q + self.right.q)
         return m.mirrored() if self.mirrored else m
@@ -163,6 +186,68 @@ def root_nodes() -> tuple[FareyNode, FareyNode]:
     return FareyNode(zero, inf, 0), FareyNode(zero, inf, 1, mirrored=True)
 
 
+# -- the walk with carried state ------------------------------------------------
+#
+# The engine walks cells (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp):
+# the interval between positive-tree endpoints lp/lq < rp/rq, mirrored when
+# sign is -1, with caller-defined states at its endpoints and its opposite
+# vertex.  combine(s_a, s_b, s_c) gives the state at a mediant from its Farey
+# parents a, b and opposite vertex c, in slope_parents order; with combine
+# None every state is None.
+
+
+def root_cells(roots: tuple) -> tuple[tuple, tuple]:
+    """The positive and mirrored root cells over the states at 0/1, 1/0, 1/1."""
+    s0, s_inf, s1 = roots
+    # children take their opposite vertex from their parent's endpoints, so
+    # the positive root's (-1/1) is never needed
+    return (0, 1, 1, 0, 0, 1, s0, s_inf, None), (0, 1, 1, 0, 1, -1, s0, s_inf, s1)
+
+
+def mediant_state(cell: tuple, combine):
+    """The state at the cell's mediant."""
+    if combine is None:
+        return None
+    lp, lq, rp, rq, _, _, s_left, s_right, s_opp = cell
+    if rq == 0 and lq == 1 and lp > 0:  # n/1 below 1/0: the left endpoint comes first
+        return combine(s_left, s_right, s_opp)
+    return combine(s_right, s_left, s_opp)
+
+
+def split(cell: tuple, s_mid) -> tuple[tuple, tuple]:
+    """The two children of a cell whose mediant has state s_mid."""
+    lp, lq, rp, rq, depth, sign, s_left, s_right, _ = cell
+    mp, mq = lp + rp, lq + rq
+    return ((lp, lq, mp, mq, depth + 1, sign, s_left, s_mid, s_right),
+            (mp, mq, rp, rq, depth + 1, sign, s_mid, s_right, s_left))
+
+
+def walk(tier, max_depth: int, combine):
+    """Yield (cell, state at its mediant) tier by tier, each tier one depth."""
+    while tier and tier[0][4] <= max_depth:
+        next_tier = []
+        for cell in tier:
+            s_mid = mediant_state(cell, combine)
+            yield cell, s_mid
+            next_tier.extend(split(cell, s_mid))
+        tier = next_tier
+
+
+def path_state(slope: Slope, roots: tuple, combine):
+    """The state at one slope, combined down its path: bit-identical to walk's."""
+    p, q = slope.p, slope.q
+    if p == 0 or q == 0:  # 0/1 or 1/0
+        return roots[p]
+    pos, neg = root_cells(roots)
+    cell, state = (pos, roots[2]) if p > 0 else (neg, mediant_state(neg, combine))
+    p = abs(p)
+    while (cell[0] + cell[2], cell[1] + cell[3]) != (p, q):
+        left, right = split(cell, state)
+        cell = left if p * left[3] < q * left[2] else right  # left of the mediant?
+        state = mediant_state(cell, combine)
+    return state
+
+
 def enumerate_slopes(max_depth: int) -> list[Slope]:
     """All slopes of tree depth <= max_depth, roots first, each exactly once.
 
@@ -176,17 +261,10 @@ def enumerate_slopes(max_depth: int) -> list[Slope]:
             f"enumeration to depth {max_depth} would produce {3 * 2 ** max_depth} slopes; "
             f"the supported limit is depth {MAX_ENUM_DEPTH}"
         )
-    pos_root, neg_root = root_nodes()
-    out = [Slope(0, 1), Slope(1, 0), pos_root.mediant_slope()]
-    frontier = [*pos_root.children(), neg_root]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            if node.depth > max_depth:
-                continue
-            out.append(node.mediant_slope())
-            next_frontier.extend(node.children())
-        frontier = next_frontier
+    pos, neg = root_cells((None, None, None))
+    out = [Slope(0, 1), Slope(1, 0), Slope(1, 1)]
+    for (lp, lq, rp, rq, _, sign, *_), _ in walk((*split(pos, None), neg), max_depth, None):
+        out.append(Slope._unchecked(sign * (lp + rp), lq + rq))
     return out
 
 

@@ -9,20 +9,27 @@ carries x, 0/1 carries y, 1/1 carries z.  Hyperbolic lengths are
 2*arccosh(trace/2).
 
 Traces grow doubly exponentially along balanced Farey paths and overflow
-doubles near depth 12, so the recursion is carried in log space together
-with the gradient of log(trace); lengths and their differentials stay
-accurate at any depth.  Public jets still expose the raw trace and
-gradient, which may round to infinity for very complicated curves.
+doubles near depth 12, so the recursion runs in log space (``_log_step``),
+together with the gradient of log(trace) where a differential is needed;
+lengths and their differentials stay accurate at any depth.  Public jets
+still expose the raw trace and gradient, which may round to infinity for
+very complicated curves.
+
+Suprema over curves carry these values down the Stern-Brocot walk of the
+sup engine, one recursion step per slope.  Random access to a single slope
+applies the same steps along the slope's path from the root, so the two
+agree bit for bit and nothing is memoized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidPointError, OutOfChartError
-from .farey import FareyNode, Slope, slope_parents
+from .farey import Slope, path_state
+# stays importable as ptorus.slope_parents: perfbench/tracing.py counts its calls
+from .farey import slope_parents  # noqa: F401
 from .supratio import SupQuery, SupRatioResult, maximize
 
 __all__ = [
@@ -212,88 +219,66 @@ def tangent_from_chart(point: MarkovPoint, vx: float, vy: float) -> PTTangent:
 
 # -- trace recursion ----------------------------------------------------------
 
-class TraceCache:
-    """Memoized log-trace jets of one Markov point, keyed by slope.
+def _log_step(la: float, lb: float, lc: float) -> float:
+    """log t_m from t_m = t_a t_b - t_c, for Farey parents a, b and opposite c."""
+    ratio = math.exp(lc - la - lb)  # t_c / (t_a t_b), in (0, 1)
+    if ratio >= 1.0:
+        raise InvalidPointError("trace recursion degenerated; the point is not Fuchsian")
+    lm = la + lb + math.log1p(-ratio)
+    if lm <= _LOG2:
+        raise InvalidPointError("a simple closed curve has trace <= 2; the point is not Fuchsian")
+    return lm
 
-    Each slope costs O(1) amortized when neighborhoods of the Farey tree
-    are swept, because its Farey parents land in the cache first.
+
+def _grad_step(a: tuple, b: tuple, c: tuple) -> tuple[float, tuple[float, float, float]]:
+    """(log t, gradient of log t) at the mediant, from the same at a, b, c."""
+    la, ua = a[0], a[1]
+    lb, ub = b[0], b[1]
+    lc, uc = c[0], c[1]
+    lm = _log_step(la, lb, lc)
+    r = math.exp(lc - lm)  # t_c / t_m
+    s = 1.0 + r            # t_a t_b / t_m
+    return lm, (
+        s * (ua[0] + ub[0]) - r * uc[0],
+        s * (ua[1] + ub[1]) - r * uc[1],
+        s * (ua[2] + ub[2]) - r * uc[2],
+    )
+
+
+def _jet_step(a: tuple, b: tuple, c: tuple) -> tuple:
+    """_grad_step plus the raw trace: exact float recursion while it fits."""
+    product = a[2] * b[2]
+    return (*_grad_step(a, b, c), math.inf if math.isinf(product) else product - c[2])
+
+
+def _root_jets(point: MarkovPoint) -> tuple:
+    """(log t, gradient of log t, t) at the slopes 0/1, 1/0, 1/1."""
+    x, y, z = point.x, point.y, point.z
+    return (
+        (math.log(y), (0.0, 1.0 / y, 0.0), y),
+        (math.log(x), (1.0 / x, 0.0, 0.0), x),
+        (math.log(z), (0.0, 0.0, 1.0 / z), z),
+    )
+
+
+class TraceCache:
+    """Random access to the trace jets of one Markov point, by slope.
+
+    A lookup walks the slope's Stern-Brocot path from the root with the
+    recursion the sweeps carry: O(depth), no memo, bit-identical values.
     """
 
-    __slots__ = ("point", "_log", "_raw", "_dlog")
+    __slots__ = ("point", "_jets")
 
     def __init__(self, point: MarkovPoint):
         self.point = point
-        x, y, z = point.x, point.y, point.z
-        self._log = {
-            (1, 0): math.log(x),
-            (0, 1): math.log(y),
-            (1, 1): math.log(z),
-        }
-        # raw traces in parallel: exact float recursion while it fits,
-        # infinity beyond that (log values stay finite regardless)
-        self._raw = {(1, 0): x, (0, 1): y, (1, 1): z}
-        self._dlog = {
-            (1, 0): (1.0 / x, 0.0, 0.0),
-            (0, 1): (0.0, 1.0 / y, 0.0),
-            (1, 1): (0.0, 0.0, 1.0 / z),
-        }
-
-    def _resolve(self, key: tuple[int, int]) -> None:
-        log, dlog = self._log, self._dlog
-        stack = [key]
-        while stack:
-            k = stack[-1]
-            if k in log:
-                stack.pop()
-                continue
-            a, b, c = slope_parents(Slope(*k))
-            ka, kb, kc = (a.p, a.q), (b.p, b.q), (c.p, c.q)
-            missing = [kk for kk in (ka, kb, kc) if kk not in log]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            la, lb, lc = log[ka], log[kb], log[kc]
-            ratio = math.exp(lc - la - lb)  # t_c / (t_a t_b), in (0, 1)
-            if ratio >= 1.0:
-                raise InvalidPointError(
-                    f"trace recursion degenerated at slope {k[0]}/{k[1]} of {self.point}"
-                )
-            lk = la + lb + math.log1p(-ratio)
-            if lk <= _LOG2:
-                raise InvalidPointError(
-                    f"slope {k[0]}/{k[1]} has trace <= 2 at {self.point}; not Fuchsian"
-                )
-            ua, ub, uc = dlog[ka], dlog[kb], dlog[kc]
-            r = math.exp(lc - lk)  # t_c / t_k
-            s = 1.0 + r            # t_a t_b / t_k
-            log[k] = lk
-            raw = self._raw
-            product = raw[ka] * raw[kb]
-            raw[k] = math.inf if math.isinf(product) else product - raw[kc]
-            dlog[k] = (
-                s * (ua[0] + ub[0]) - r * uc[0],
-                s * (ua[1] + ub[1]) - r * uc[1],
-                s * (ua[2] + ub[2]) - r * uc[2],
-            )
+        self._jets = _root_jets(point)
 
     def log_trace(self, slope: Slope) -> float:
-        key = (slope.p, slope.q)
-        if key not in self._log:
-            self._resolve(key)
-        return self._log[key]
-
-    def log_grad(self, slope: Slope) -> tuple[float, float, float]:
-        key = (slope.p, slope.q)
-        if key not in self._dlog:
-            self._resolve(key)
-        return self._dlog[key]
+        return path_state(slope, tuple(j[0] for j in self._jets), _log_step)
 
     def jet(self, slope: Slope) -> TraceJet:
-        lt = self.log_trace(slope)
-        key = (slope.p, slope.q)
-        u = self._dlog[key]
-        t = self._raw[key]
+        lt, u, t = path_state(slope, self._jets, _jet_step)
         if math.isfinite(t):
             grad = (u[0] * t, u[1] * t, u[2] * t)
         else:
@@ -306,8 +291,7 @@ class TraceCache:
 
     def length_dlog(self, slope: Slope) -> tuple[float, float, float, float]:
         """(length, g1, g2, g3) with g the gradient of the unit-weight length."""
-        lt = self.log_trace(slope)
-        u = self._dlog[(slope.p, slope.q)]
+        lt, u = path_state(slope, tuple(j[:2] for j in self._jets), _grad_step)
         ell = _ell_from_log(lt)
         f = _dlen_factor(lt)
         return ell, f * u[0], f * u[1], f * u[2]
@@ -325,24 +309,19 @@ def _dlen_factor(lt: float) -> float:
     return 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
 
 
-@lru_cache(maxsize=16)
-def _cache_for(point: MarkovPoint) -> TraceCache:
-    return TraceCache(point)
-
-
 def trace_of_slope(point: MarkovPoint, slope: Slope) -> TraceJet:
     """Trace jet of the geodesic in the slope's isotopy class."""
-    return _cache_for(point).jet(slope)
+    return TraceCache(point).jet(slope)
 
 
 def length(point: MarkovPoint, lam: WeightedLamination) -> float:
     """Hyperbolic length weight * 2*arccosh(trace/2)."""
-    return lam.weight * _cache_for(point).length(lam.slope)
+    return lam.weight * TraceCache(point).length(lam.slope)
 
 
 def d_length(point: MarkovPoint, lam: WeightedLamination) -> PTCovector:
     """Exact differential of the length function in ambient (x, y, z)."""
-    _, g1, g2, g3 = _cache_for(point).length_dlog(lam.slope)
+    _, g1, g2, g3 = TraceCache(point).length_dlog(lam.slope)
     return PTCovector(lam.weight * g1, lam.weight * g2, lam.weight * g3)
 
 
@@ -356,8 +335,11 @@ def _collar_width(lt: float) -> float:
     return 4.0 * math.exp(-lt)
 
 
-def _subtree_ratio_bound(cx: TraceCache, cy: TraceCache):
+def _subtree_ratio_bound(left: tuple, right: tuple, opp: tuple) -> float:
     """Upper bound for sup of ell_Y/ell_X over the interior of a Farey cell.
+
+    Each argument is the (log t_X, log t_Y) state of the cell's left
+    endpoint a, right endpoint b, or opposite vertex.
 
     Every interior slope is mu*a + nu*b with integer mu, nu >= 1 in the
     endpoint curves a, b.  The numerator uses length subadditivity over
@@ -371,31 +353,30 @@ def _subtree_ratio_bound(cx: TraceCache, cy: TraceCache):
     the corner (1, 1) or on the two rays, so the bound is exact for its
     inputs and tightens as cells shrink.
     """
+    lta, ltb = left[0], right[0]
+    na = _ell_from_log(left[1])
+    nb = _ell_from_log(right[1])
+    g = math.exp(opp[0] - lta - ltb)
+    decay = math.log1p(-g)
+    la = 2.0 * (lta + decay)
+    lb = 2.0 * (ltb + decay)
+    c0 = 2.0 * (_LOG2 + decay)
+    product_route = math.inf
+    corner = la + lb - c0  # equals 2*log(t_mediant/2) > 0
+    if la > 0.0 and lb > 0.0 and corner > 0.0:
+        product_route = max((na + nb) / corner, na / la, nb / lb)
+    wa = _collar_width(lta)
+    wb = _collar_width(ltb)
+    if wa > 0.0 and wb > 0.0:  # widths underflow for very long curves
+        collar_route = na / wb + nb / wa
+    else:
+        collar_route = math.inf
+    return min(product_route, collar_route)
 
-    def bound(node: FareyNode) -> float:
-        a, b = node.endpoint_slopes()
-        na = cy.length(a)
-        nb = cy.length(b)
-        lta = cx.log_trace(a)
-        ltb = cx.log_trace(b)
-        g = math.exp(cx.log_trace(node.opposite_slope()) - lta - ltb)
-        decay = math.log1p(-g)
-        la = 2.0 * (lta + decay)
-        lb = 2.0 * (ltb + decay)
-        c0 = 2.0 * (_LOG2 + decay)
-        product_route = math.inf
-        corner = la + lb - c0  # equals 2*log(t_mediant/2) > 0
-        if la > 0.0 and lb > 0.0 and corner > 0.0:
-            product_route = max((na + nb) / corner, na / la, nb / lb)
-        wa = _collar_width(lta)
-        wb = _collar_width(ltb)
-        if wa > 0.0 and wb > 0.0:  # widths underflow for very long curves
-            collar_route = na / wb + nb / wa
-        else:
-            collar_route = math.inf
-        return min(product_route, collar_route)
 
-    return bound
+def _pair_step(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
+    """_log_step at two points at once: states are (log t_X, log t_Y)."""
+    return _log_step(a[0], b[0], c[0]), _log_step(a[1], b[1], c[1])
 
 
 def thurston_distance(
@@ -414,15 +395,16 @@ def thurston_distance(
     used for best-first pruning; it certifies at coarse tolerances
     (roughly >= 1e-3) at practical cost.
     """
-    cx = _cache_for(src)
-    cy = _cache_for(dst)
+    pairs = ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z))  # at 0/1, 1/0, 1/1
+    roots = tuple((math.log(tx), math.log(ty)) for tx, ty in pairs)
 
-    def objective(s: Slope) -> float:
-        return cy.length(s) / cx.length(s)
+    def objective(state: tuple[float, float]) -> float:
+        return _ell_from_log(state[1]) / _ell_from_log(state[0])
 
-    bound = _subtree_ratio_bound(cx, cy) if certified_bound else None
+    bound = _subtree_ratio_bound if certified_bound else None
     return maximize(
-        SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals)
+        SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
+                 roots=roots, combine=_pair_step)
     )
 
 
@@ -442,14 +424,16 @@ def thurston_norm(
     """
     if v.at != point:
         raise ValueError("tangent vector belongs to a different point")
-    cache = _cache_for(point)
 
-    def objective(s: Slope) -> float:
-        ell, g1, g2, g3 = cache.length_dlog(s)
-        return (g1 * v.wx + g2 * v.wy + g3 * v.wz) / ell
+    def objective(state: tuple) -> float:
+        lt, u = state
+        ell = _ell_from_log(lt)
+        f = _dlen_factor(lt)
+        return (f * u[0] * v.wx + f * u[1] * v.wy + f * u[2] * v.wz) / ell
 
     return maximize(
-        SupQuery(objective, None, tolerance=tol, max_depth=max_depth, max_evals=max_evals)
+        SupQuery(objective, None, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
+                 roots=tuple(j[:2] for j in _root_jets(point)), combine=_grad_step)
     )
 
 

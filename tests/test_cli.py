@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torusmetrics
 from torusmetrics.cli import main
 
 from _oracles import polygon_is_convex_with_origin
@@ -170,6 +175,27 @@ class TestExperiments:
         err50 = abs(by_k[50]["0/1"] / by_k[50]["1/1"] - 1.0)
         assert err50 < err10
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_converge_boundary_require_certified_exits_3(self, tmp_path, fmt):
+        # the exhaustive sweeps behind every row are uncertified
+        code, path = run_to_file(
+            tmp_path,
+            [
+                "converge-boundary", "--base", "3,3,3", "--ks", "5", "--slopes", "0/1",
+                "--max-depth", "6", "--format", fmt, "--require-certified",
+            ],
+        )
+        assert code == 3
+        if fmt == "json":
+            assert [row["certified"] for row in json.loads(path.read_text())["rows"]] == [False]
+
+    def test_converge_boundary_overflowing_twist_exits_2(self, capsys):
+        code = main(["converge-boundary", "--base", "3,3,3", "--ks", "400", "--max-depth", "6"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --ks 400:") and "exceed" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_converge_gm_csv(self, tmp_path):
         code, path = run_to_file(
             tmp_path,
@@ -198,3 +224,27 @@ class TestArgumentHandling:
 
     def test_bad_tol_exits_2(self):
         assert main(["dist-teich", "--from", "i", "--to", "2i", "--tol", "-1"]) == 2
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["torusmetrics", "torusmetrics.cli"])
+    def test_python_dash_m_matches_main(self, module, capsys):
+        args = ["dist-teich", "--from", "0.25+1.5i", "--to=-0.75+0.8i"]
+        assert main(args) == 0
+        expected = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(torusmetrics.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+    def test_python_dash_m_bad_input_exits_2(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(torusmetrics.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusmetrics", "dist-teich", "--from", "i", "--to=-2i"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")

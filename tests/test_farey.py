@@ -9,8 +9,12 @@ from torusmetrics.farey import (
     enumerate_slopes,
     intersection_number,
     mediant,
+    path_state,
+    root_cells,
     root_nodes,
     slope_parents,
+    split,
+    walk,
 )
 
 from _oracles import lattice_intersection_count
@@ -144,6 +148,16 @@ class TestEnumerate:
             assert s.q > 0 or (s.p, s.q) == (1, 0)
             assert math.gcd(abs(s.p), s.q) == 1
 
+    def test_order_matches_node_breadth_first_walk(self):
+        # callers sample from the list, so its order is part of the contract
+        pos, neg = root_nodes()
+        expected = [Slope(0, 1), Slope(1, 0), pos.mediant_slope()]
+        tier = [*pos.children(), neg]
+        while tier[0].depth <= 7:
+            expected += [node.mediant_slope() for node in tier]
+            tier = [child for node in tier for child in node.children()]
+        assert enumerate_slopes(7) == expected
+
     def test_rejects_bad_depths(self):
         with pytest.raises(ValueError):
             enumerate_slopes(-1)
@@ -213,3 +227,48 @@ class TestSlopeParents:
                 continue
             a, b, c = slope_parents(s)
             assert mediant(a, b) == s
+
+
+def _other_completion(a, b, c):
+    """The completion of the Farey edge (a, b) that is not c."""
+    plus, minus = Slope.of(a.p + b.p, a.q + b.q), Slope.of(a.p - b.p, a.q - b.q)
+    assert c in (plus, minus)
+    return minus if c == plus else plus
+
+
+class TestCarriedState:
+    ROOTS = (Slope(0, 1), Slope(1, 0), Slope(1, 1))
+
+    @staticmethod
+    def combine(a, b, c):
+        # the state at each slope is the slope itself, so every call can be
+        # checked against slope_parents, operand order included
+        s = _other_completion(a, b, c)
+        assert slope_parents(s) == (a, b, c)
+        return s
+
+    def test_walk_carries_slope_parents_in_order(self):
+        pos, neg = root_cells(self.ROOTS)
+        seen = []
+        for (lp, lq, rp, rq, depth, sign, *_), state in walk(
+            (*split(pos, self.ROOTS[2]), neg), 9, self.combine
+        ):
+            assert state == Slope(sign * (lp + rp), lq + rq)
+            seen.append(state)
+        assert seen == enumerate_slopes(9)[3:]
+
+    def test_path_state_reaches_deep_and_mirrored_slopes(self):
+        slopes = [*enumerate_slopes(6), Slope(1, 40), Slope(-40, 1), Slope(-987, 610),
+                  Slope(355, 113)]
+        for s in slopes:
+            assert path_state(s, self.ROOTS, self.combine) == s
+
+    def test_unchecked_nodes_equal_checked_nodes(self):
+        pos, neg = root_cells((None, None, None))
+        got = [FareyNode._of_cell(cell) for cell, _ in walk((*split(pos, None), neg), 7, None)]
+        pos_node, neg_node = root_nodes()
+        expected, tier = [], [*pos_node.children(), neg_node]
+        while tier[0].depth <= 7:
+            expected += tier
+            tier = [child for node in tier for child in node.children()]
+        assert got == expected

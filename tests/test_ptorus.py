@@ -267,7 +267,12 @@ class TestThurstonDistance:
         # the pruning bound must dominate the true objective everywhere in
         # the cell: compare against explicit deep enumeration per cell
         cx, cy = TraceCache(MODULAR), TraceCache(from_parameters(3.0, 4.0))
-        bound = _subtree_ratio_bound(cx, cy)
+
+        def bound(cell):
+            # the (log t_X, log t_Y) states the sweep carries to the cell
+            a, b = cell.endpoint_slopes()
+            states = [(cx.log_trace(s), cy.log_trace(s)) for s in (a, b, cell.opposite_slope())]
+            return _subtree_ratio_bound(*states)
 
         def interior_max(node, levels):
             best = -math.inf
