@@ -67,6 +67,17 @@ def _engine_meta(res: SupRatioResult, cfg: RunConfig) -> dict:
     return meta
 
 
+def _note_cut_sweep(res: SupRatioResult, cfg: RunConfig) -> None:
+    """Say on stderr when max_evals stopped an exhaustive sweep short of max_depth."""
+    full = 3 * 2 ** cfg.max_depth  # slopes of depth <= max_depth (see farey.enumerate_slopes)
+    if res.evals < full:
+        print(
+            f"note: max_evals stopped the sweep at depth {res.depth_reached} of "
+            f"{cfg.max_depth} after {res.evals} of {full} evaluations",
+            file=sys.stderr,
+        )
+
+
 def _run_dist_teich(cfg: RunConfig):
     src = torus.TorusPoint.parse(cfg.options["src"])
     dst = torus.TorusPoint.parse(cfg.options["dst"])
@@ -88,6 +99,8 @@ def _run_dist_thurston(cfg: RunConfig):
         src, dst, tol=cfg.tol, max_depth=cfg.max_depth,
         certified_bound=cfg.options["certified_bound"],
     )
+    if not cfg.options["certified_bound"]:
+        _note_cut_sweep(res, cfg)
     out = {
         "command": cfg.command,
         "from": src.to_json_dict(),
@@ -101,7 +114,7 @@ def _run_dist_thurston(cfg: RunConfig):
 def _run_norm_teich(cfg: RunConfig):
     at = torus.TorusPoint.parse(cfg.options["at"])
     v = torus.TangentVector(cfg.options["vx"], cfg.options["vy"])
-    value = torus.teich_norm(at, v, tol=cfg.tol, max_depth=cfg.max_depth)
+    value = torus.teich_norm(at, v)
     out = {
         "command": cfg.command,
         "at": str(at),
@@ -119,6 +132,7 @@ def _run_norm_thurston(cfg: RunConfig):
     at = ptorus.MarkovPoint.parse(cfg.options["at"])
     v = ptorus.tangent_from_chart(at, cfg.options["vx"], cfg.options["vy"])
     res = ptorus.thurston_norm(at, v, tol=cfg.tol, max_depth=cfg.max_depth)
+    _note_cut_sweep(res, cfg)
     out = {
         "command": cfg.command,
         "at": at.to_json_dict(),

@@ -11,9 +11,12 @@ Negative slopes carry p < 0, q > 0.  The tree over them is the mirror image
 (p -> -p) of the positive tree, which keeps one canonical label per curve
 class and avoids double counting.
 
-The sup engine walks plain tuple cells instead (see ``walk``), which carry a
-caller-defined state per slope, so a recursion over Farey triangles costs
-O(1) per slope.
+The sup engine carries a caller-defined state per slope down the tree
+instead, so a recursion over Farey triangles costs O(1) per slope.  Its
+exhaustive mode sweeps the tree one tier (one depth) at a time over parallel
+lists of states (``sweep``); the certified mode and random access to one
+slope (``path_state``) walk plain tuple cells (``split``) with the same
+combine, operand order included, so all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -186,9 +189,10 @@ def root_nodes() -> tuple[FareyNode, FareyNode]:
     return FareyNode(zero, inf, 0), FareyNode(zero, inf, 1, mirrored=True)
 
 
-# -- the walk with carried state ------------------------------------------------
+# -- cells with carried state ---------------------------------------------------
 #
-# The engine walks cells (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp):
+# The certified search and random access walk cells
+# (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp):
 # the interval between positive-tree endpoints lp/lq < rp/rq, mirrored when
 # sign is -1, with caller-defined states at its endpoints and its opposite
 # vertex.  combine(s_a, s_b, s_c) gives the state at a mediant from its Farey
@@ -222,19 +226,93 @@ def split(cell: tuple, s_mid) -> tuple[tuple, tuple]:
             (mp, mq, rp, rq, depth + 1, sign, s_mid, s_right, s_left))
 
 
-def walk(tier, max_depth: int, combine):
-    """Yield (cell, state at its mediant) tier by tier, each tier one depth."""
-    while tier and tier[0][4] <= max_depth:
-        next_tier = []
-        for cell in tier:
-            s_mid = mediant_state(cell, combine)
-            yield cell, s_mid
-            next_tier.extend(split(cell, s_mid))
-        tier = next_tier
+# -- the exhaustive sweep, one tier at a time -----------------------------------
+#
+# A tier is every cell of one depth, in two blocks: the positive block (the
+# 2**d cells below the root interval 0/1 < 1/0 at depth d >= 1) and the
+# mirrored block (the 2**(d-1) cells below the mirrored root, from depth 2 on).
+# Each block keeps its cells left to right as three parallel state lists: at
+# the left endpoints, at the right endpoints and at the opposite vertices.
+
+
+def _add_slopes(a: Slope, b: Slope, _c) -> Slope:
+    """combine for stateless sweeps, whose states are the slopes as vectors."""
+    return Slope._unchecked(a.p + b.p, a.q + b.q)
+
+
+def sweep(roots: tuple, combine, max_depth: int, budget):
+    """Yield the mediant states of the sweep down to max_depth, tier by tier.
+
+    The first item is (0, [states at 0/1, 1/0, 1/1, -1/1]); then comes
+    (depth, blocks) for depth 1..max_depth, blocks holding the mediant states
+    of the positive block and, from depth 2, of the mirrored block, left to
+    right.  Only the first ``budget`` mediants below the roots are combined
+    and yielded, in that order; a block the budget does not reach is left
+    out, so no yielded block is empty.  With combine None the states are
+    the slopes themselves (roots is ignored).
+    """
+    if combine is None:
+        roots, combine = (Slope(0, 1), Slope(1, 0), Slope(1, 1)), _add_slopes
+        neg_inf = Slope._unchecked(-1, 0)  # the mirrored copy of 1/0, as a vector
+    else:
+        neg_inf = roots[1]
+    s0, s_inf, s1 = roots
+    s_neg = combine(neg_inf, s0, s1)
+    yield 0, [s0, s_inf, s1, s_neg]
+    blocks = [([s0, s1], [s1, s_inf], [s_inf, s0])]
+    mirrored = ([s0, s_neg], [s_neg, neg_inf], [neg_inf, s0])
+    for depth in range(1, max_depth + 1):
+        if depth == 2:
+            blocks.append(mirrored)
+        tier = []
+        for left, right, opp in blocks:
+            n = min(len(left), budget)
+            if n == 0:
+                break
+            # a block's last cell is n/1 below 1/0, whose left endpoint comes
+            # first among its Farey parents (see slope_parents)
+            last = n == len(left)
+            k = n - 1 if last else n
+            mids = list(map(combine, right[:k], left[:k], opp[:k]))
+            if last:
+                mids.append(combine(left[k], right[k], opp[k]))
+            tier.append(mids)
+            budget -= n
+        if not tier:
+            return
+        yield depth, tier
+        if budget == 0 or depth == max_depth:
+            return
+        blocks = [_children(*block, mids) for block, mids in zip(blocks, tier)]
+
+
+def _children(left: list, right: list, opp: list, mids: list) -> tuple[list, list, list]:
+    """The next tier of a block: each cell splits at its mediant into two."""
+    size = 2 * len(mids)
+    left2, right2, opp2 = [None] * size, [None] * size, [None] * size
+    left2[0::2], left2[1::2] = left, mids
+    right2[0::2], right2[1::2] = mids, right
+    opp2[0::2], opp2[1::2] = right, left
+    return left2, right2, opp2
+
+
+def tier_slope(depth: int, block: int, index: int) -> Slope:
+    """The slope of the cell at ``index`` in a sweep tier's block (0 positive, 1 mirrored).
+
+    The index read in binary is the cell's path below its block's root,
+    0 for a left and 1 for a right child; the mirrored root sits at depth 1.
+    """
+    lp, lq, rp, rq = 0, 1, 1, 0
+    for k in reversed(range(depth - block)):
+        if index >> k & 1:
+            lp, lq = lp + rp, lq + rq
+        else:
+            rp, rq = lp + rp, lq + rq
+    return Slope._unchecked(-(lp + rp) if block else lp + rp, lq + rq)
 
 
 def path_state(slope: Slope, roots: tuple, combine):
-    """The state at one slope, combined down its path: bit-identical to walk's."""
+    """The state at one slope, combined down its path: bit-identical to sweep's."""
     p, q = slope.p, slope.q
     if p == 0 or q == 0:  # 0/1 or 1/0
         return roots[p]
@@ -261,10 +339,12 @@ def enumerate_slopes(max_depth: int) -> list[Slope]:
             f"enumeration to depth {max_depth} would produce {3 * 2 ** max_depth} slopes; "
             f"the supported limit is depth {MAX_ENUM_DEPTH}"
         )
-    pos, neg = root_cells((None, None, None))
-    out = [Slope(0, 1), Slope(1, 0), Slope(1, 1)]
-    for (lp, lq, rp, rq, _, sign, *_), _ in walk((*split(pos, None), neg), max_depth, None):
-        out.append(Slope._unchecked(sign * (lp + rp), lq + rq))
+    tiers = sweep(None, None, max_depth, math.inf)
+    _, (s0, s_inf, s1, s_neg) = next(tiers)
+    out = [s0, s_inf, s1]
+    for depth, blocks in tiers:
+        out += blocks[0]
+        out += [s_neg] if depth == 1 else blocks[1]  # -1/1 follows 1/2 and 2/1
     return out
 
 

@@ -54,6 +54,8 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _MIN_TRACE = 2.0 + 1e-12
 _TWIST_OVERFLOW = 1e150
+_DEGENERATE = "trace recursion degenerated; the point is not Fuchsian"
+_SHORT_CURVE = "a simple closed curve has trace <= 2; the point is not Fuchsian"
 
 
 def markov_residual(x: float, y: float, z: float) -> float:
@@ -223,10 +225,10 @@ def _log_step(la: float, lb: float, lc: float) -> float:
     """log t_m from t_m = t_a t_b - t_c, for Farey parents a, b and opposite c."""
     ratio = math.exp(lc - la - lb)  # t_c / (t_a t_b), in (0, 1)
     if ratio >= 1.0:
-        raise InvalidPointError("trace recursion degenerated; the point is not Fuchsian")
+        raise InvalidPointError(_DEGENERATE)
     lm = la + lb + math.log1p(-ratio)
     if lm <= _LOG2:
-        raise InvalidPointError("a simple closed curve has trace <= 2; the point is not Fuchsian")
+        raise InvalidPointError(_SHORT_CURVE)
     return lm
 
 
@@ -375,8 +377,44 @@ def _subtree_ratio_bound(left: tuple, right: tuple, opp: tuple) -> float:
 
 
 def _pair_step(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
-    """_log_step at two points at once: states are (log t_X, log t_Y)."""
-    return _log_step(a[0], b[0], c[0]), _log_step(a[1], b[1], c[1])
+    """_log_step at two points at once: states are (log t_X, log t_Y).
+
+    Inlined for speed (this is the step of every distance sweep); the
+    operations and checks are those of _log_step, in the same order.
+    """
+    la, lb, lc = a[0], b[0], c[0]
+    ratio = math.exp(lc - la - lb)
+    if ratio >= 1.0:
+        raise InvalidPointError(_DEGENERATE)
+    lx = la + lb + math.log1p(-ratio)
+    if lx <= _LOG2:
+        raise InvalidPointError(_SHORT_CURVE)
+    la, lb, lc = a[1], b[1], c[1]
+    ratio = math.exp(lc - la - lb)
+    if ratio >= 1.0:
+        raise InvalidPointError(_DEGENERATE)
+    ly = la + lb + math.log1p(-ratio)
+    if ly <= _LOG2:
+        raise InvalidPointError(_SHORT_CURVE)
+    return lx, ly
+
+
+def _length_ratio(state: tuple[float, float]) -> float:
+    """ell_Y / ell_X from (log t_X, log t_Y): _ell_from_log inlined at both.
+
+    Both lengths drop _ell_from_log's exact factor 2, so the quotient is
+    bit-identical to the ratio of the two lengths.
+    """
+    lx, ly = state
+    if lx < 30.0:
+        hx = math.acosh(0.5 * math.exp(lx))
+    else:
+        hx = lx - _LOG2 + math.log(1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lx)))
+    if ly < 30.0:
+        hy = math.acosh(0.5 * math.exp(ly))
+    else:
+        hy = ly - _LOG2 + math.log(1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0 * ly)))
+    return hy / hx
 
 
 def thurston_distance(
@@ -397,13 +435,9 @@ def thurston_distance(
     """
     pairs = ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z))  # at 0/1, 1/0, 1/1
     roots = tuple((math.log(tx), math.log(ty)) for tx, ty in pairs)
-
-    def objective(state: tuple[float, float]) -> float:
-        return _ell_from_log(state[1]) / _ell_from_log(state[0])
-
     bound = _subtree_ratio_bound if certified_bound else None
     return maximize(
-        SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
+        SupQuery(_length_ratio, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
                  roots=roots, combine=_pair_step)
     )
 
@@ -425,11 +459,18 @@ def thurston_norm(
     if v.at != point:
         raise ValueError("tangent vector belongs to a different point")
 
+    wx, wy, wz = v.wx, v.wy, v.wz
+
     def objective(state: tuple) -> float:
+        # _ell_from_log and _dlen_factor inlined; both use sqrt(1 - 4/t^2)
         lt, u = state
-        ell = _ell_from_log(lt)
-        f = _dlen_factor(lt)
-        return (f * u[0] * v.wx + f * u[1] * v.wy + f * u[2] * v.wz) / ell
+        root = math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
+        if lt < 30.0:
+            ell = 2.0 * math.acosh(0.5 * math.exp(lt))
+        else:
+            ell = 2.0 * (lt - _LOG2 + math.log(1.0 + root))
+        f = 2.0 / root
+        return (f * u[0] * wx + f * u[1] * wy + f * u[2] * wz) / ell
 
     return maximize(
         SupQuery(objective, None, tolerance=tol, max_depth=max_depth, max_evals=max_evals,

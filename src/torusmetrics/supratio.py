@@ -4,12 +4,14 @@ The engine drives every supremum over curves in this package.  It descends
 the Stern-Brocot tree best-first when the caller can bound the objective
 over a whole subtree, and prunes once no unexplored cell can beat the best
 value by more than the tolerance; the result is then certified.  Without a
-sound bound it falls back to an exhaustive breadth-first sweep down to
-``max_depth`` and reports honestly that nothing was certified, along with
-the depth at which the value empirically stabilized.  Both modes descend
-plain integer cells (see farey.walk) that can carry a per-slope state down
-the tree, so objectives built on a recursion over Farey triangles cost
-O(1) per slope.
+sound bound it falls back to an exhaustive sweep down to ``max_depth`` and
+reports honestly that nothing was certified, along with the depth at which
+the value empirically stabilized.  Both modes can carry a per-slope state
+down the tree, so objectives built on a recursion over Farey triangles
+cost O(1) per slope.  The exhaustive sweep goes one tier (one depth) at a
+time (see farey.sweep): one combine and one objective call per slope over
+flat lists, and the argmax is resolved only on tiers whose maximum beats
+the best value so far.
 
 Results are a pure function of the query: evaluation order never changes
 the reported value or argmax (ties are broken by depth, then slope), so
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .farey import FareyNode, Slope, mediant_state, root_cells, split, walk
+from .farey import FareyNode, Slope, mediant_state, root_cells, split, sweep, tier_slope
 
 __all__ = ["SupQuery", "SupRatioResult", "maximize"]
 
@@ -36,7 +38,7 @@ class SupQuery:
     Two forms.  Without ``combine``, ``objective(slope)`` scores a Slope and
     ``subtree_bound(node)`` bounds a FareyNode.  With ``combine``, each slope
     carries a caller-defined state: ``roots`` holds the states at 0/1, 1/0
-    and 1/1, ``combine`` derives the rest down the tree (see farey.walk),
+    and 1/1, ``combine`` derives the rest down the tree (see farey.sweep),
     ``objective(state)`` scores a slope from its state, and
     ``subtree_bound(s_left, s_right, s_opp)`` bounds a cell from the states
     at its endpoints and its opposite vertex.
@@ -68,12 +70,19 @@ class SupQuery:
 
 @dataclass
 class SupRatioResult:
+    """The supremum found, with how it was obtained.
+
+    ``depth_reached`` is the deepest tree depth at which a slope was
+    evaluated; it stays out of the JSON payload.
+    """
+
     value: float
     argmax: Slope
     certified: bool
     frontier_bound: Optional[float]
     evals: int
     stabilization_depth: int
+    depth_reached: int
 
     def to_json_dict(self) -> dict:
         fb = self.frontier_bound
@@ -89,10 +98,19 @@ class SupRatioResult:
         }
 
 
-class _Search:
-    """Shared evaluation bookkeeping for both engine modes.
+def _bad_value(v) -> bool:
+    return not isinstance(v, (int, float)) or not math.isfinite(v)
 
-    Every slope is reached once, so counting evaluations needs no memo.
+
+def _non_finite(v, slope: Slope) -> ValueError:
+    return ValueError(f"objective returned non-finite value {v!r} at slope {slope}")
+
+
+class _Search:
+    """Evaluation bookkeeping: the eval count, the argmax and per-depth maxima.
+
+    The argmax is order-independent: a larger value wins, ties go to the
+    shallower and then the lexicographically smaller slope.
     """
 
     def __init__(self, query: SupQuery):
@@ -111,21 +129,48 @@ class _Search:
 
     def evaluate(self, p: int, q: int, depth: int, state) -> None:
         v = self.score(p, q, state)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValueError(f"objective returned non-finite value {v!r} at slope {p}/{q}")
+        if _bad_value(v):
+            raise _non_finite(v, Slope._unchecked(p, q))
         v = float(v)
         self.evals += 1
-        d = self.depth_max.get(depth, -math.inf)
-        if v > d:
+        if v > self.depth_max.get(depth, -math.inf):
             self.depth_max[depth] = v
-        # Order-independent argmax: larger value wins, ties go to the
-        # shallower and lexicographically smaller slope.
         key = (-v, depth, p, q)
         if self.best_key is None or key < self.best_key:
             self.best_value = v
             self.best_key = key
 
-    def stabilization_depth(self) -> int:
+    def evaluate_tier(self, depth: int, blocks: list) -> None:
+        """Evaluate one sweep tier: the mediant states of each block, left to right."""
+        objective = self.query.objective
+        tier = []
+        for block, states in enumerate(blocks):
+            values = list(map(objective, states))
+            try:
+                finite = all(map(math.isfinite, values))
+            except TypeError:
+                finite = False
+            if not finite:
+                i = next(i for i, v in enumerate(values) if _bad_value(v))
+                raise _non_finite(values[i], tier_slope(depth, block, i))
+            tier.append(values)
+        self.evals += sum(map(len, tier))
+        top = max(map(max, tier))
+        if top > self.depth_max.get(depth, -math.inf):
+            self.depth_max[depth] = float(top)
+        # the argmax so far is shallower, or is -1/1, the smallest slope of
+        # depth 1, so only a strictly larger value displaces it
+        if top > self.best_value:
+            slope, v = min(
+                ((tier_slope(depth, block, i), values[i])
+                 for block, values in enumerate(tier) for i in _indices(values, top)),
+                key=lambda candidate: candidate[0],
+            )
+            self.best_value = v = float(v)
+            self.best_key = (-v, depth, slope.p, slope.q)
+
+    def result(self, certified: bool, frontier_bound: Optional[float]) -> SupRatioResult:
+        assert self.best_key is not None
         running = -math.inf
         stab = 0
         for depth in sorted(self.depth_max):
@@ -134,46 +179,53 @@ class _Search:
                 stab = depth
             if v > running:
                 running = v
-        return stab
-
-    def result(self, certified: bool, frontier_bound: Optional[float]) -> SupRatioResult:
-        assert self.best_key is not None
         return SupRatioResult(
             value=self.best_value,
             argmax=Slope._unchecked(*self.best_key[2:]),
             certified=certified,
             frontier_bound=frontier_bound,
             evals=self.evals,
-            stabilization_depth=self.stabilization_depth(),
+            stabilization_depth=stab,
+            depth_reached=max(self.depth_max),
         )
+
+
+def _indices(values: list, v) -> list[int]:
+    """Every index of v in values."""
+    out, i = [], -1
+    try:
+        while True:
+            i = values.index(v, i + 1)
+            out.append(i)
+    except ValueError:
+        return out
+
+
+# (p, q, depth) of the slopes in the sweep's root tier, in evaluation order
+_ROOT_TIER = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
 
 
 def maximize(query: SupQuery) -> SupRatioResult:
     """Maximize the query objective over all slopes; see module docstring."""
     search = _Search(query)
+    if query.subtree_bound is None:
+        return _maximize_exhaustive(search)
     roots = query.roots or (None, None, None)
     pos, neg = root_cells(roots)
     s_neg = mediant_state(neg, query.combine)
-    search.evaluate(0, 1, 0, roots[0])
-    search.evaluate(1, 0, 0, roots[1])
-    search.evaluate(1, 1, 0, roots[2])
-    search.evaluate(-1, 1, 1, s_neg)
-    first = split(pos, roots[2])
-    if query.subtree_bound is None:
-        return _maximize_exhaustive(search, (*first, neg))
-    return _maximize_certified(search, (*first, *split(neg, s_neg)))
+    for (p, q, depth), state in zip(_ROOT_TIER, (*roots, s_neg)):
+        search.evaluate(p, q, depth, state)
+    return _maximize_certified(search, (*split(pos, roots[2]), *split(neg, s_neg)))
 
 
-def _maximize_exhaustive(search: _Search, tier: tuple) -> SupRatioResult:
+def _maximize_exhaustive(search: _Search) -> SupRatioResult:
     query = search.query
-    neg = tier[-1]
-    for cell, state in walk(tier, query.max_depth, query.combine):
-        if cell is neg:  # its mediant -1/1 was evaluated with the roots
-            continue
-        if search.evals >= query.max_evals:
-            break
-        lp, lq, rp, rq, depth, sign = cell[:6]
-        search.evaluate(sign * (lp + rp), lq + rq, depth, state)
+    tiers = sweep(query.roots, query.combine, query.max_depth, query.max_evals - len(_ROOT_TIER))
+    _, states = next(tiers)
+    for (p, q, depth), state in zip(_ROOT_TIER, states):
+        search.evaluate(p, q, depth, state)
+    for depth, blocks in tiers:
+        search.evaluate_tier(depth, blocks)
     return search.result(certified=False, frontier_bound=None)
 
 

@@ -282,55 +282,25 @@ def _norm_forms(tau: TorusPoint, v: TangentVector):
     return g, _q_form(tau)
 
 
-def _teich_norm_sup_parts(
-    tau: TorusPoint,
-    v: TangentVector,
-    tol: float,
-    max_depth: int,
-    max_evals: int,
-) -> tuple[float, SupRatioResult]:
-    """(closed-form circle max, certified Farey sup) of dExt/(2 Ext)."""
-    g, q = _norm_forms(tau, v)
-    circle = 0.5 * _max_gen_eig(g, q)
-    # The engine wants finite objectives and works with an absolute
-    # tolerance; shift the sign-indefinite ratio into positive territory.
-    low = -0.5 * _max_gen_eig(tuple(-gi for gi in g), q)
-    shift = 1.0 + max(0.0, -low)
-
-    def objective(s: Slope) -> float:
-        u = s.direction()
-        return 0.5 * _apply_form(g, u) / _apply_form(q, u) + shift
-
-    def bound(node: FareyNode) -> float:
-        u, w = node.direction_pair()
-        return 0.5 * _cone_ratio_max(g, q, u, w) + shift
-
-    res = maximize(
-        SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals)
-    )
-    res.value -= shift
-    if res.frontier_bound is not None:
-        res.frontier_bound -= shift
-    return circle, res
+_I = TorusPoint(0.0, 1.0)
 
 
-def teich_norm(
-    tau: TorusPoint,
-    v: TangentVector,
-    tol: float = 1e-6,
-    max_depth: int = 256,
-    max_evals: int = 200_000,
-) -> float:
+def teich_norm(tau: TorusPoint, v: TangentVector) -> float:
     """Finsler norm sup of d(Ext^1/2)(V)/Ext^1/2 over foliations.
 
-    The sup over rational slopes is certified by the Farey engine and then
-    extended over the full direction circle in closed form (the maximizer
-    need not be rational); the two agree within tol.  Equals |V|/(2y).
+    The sup over the full direction circle is a generalized eigenvalue of
+    two quadratic forms, in closed form; it dominates the sup over rational
+    slopes (the maximizer need not be rational).  The norm is invariant
+    under the isometry tau -> (tau - x)/y, V -> V/y and positively
+    homogeneous in V, so it is evaluated at i on V scaled to max(|vx|, |vy|)
+    = 1: no intermediate overflows or divides by y^2 at extreme moduli.
+    Equals |V|/(2y).
     """
-    if v.vx == 0.0 and v.vy == 0.0:
+    scale = max(abs(v.vx), abs(v.vy))
+    if scale == 0.0:
         return 0.0
-    circle, res = _teich_norm_sup_parts(tau, v, tol, max_depth, max_evals)
-    return max(circle, res.value)
+    g, q = _norm_forms(_I, TangentVector(v.vx / scale, v.vy / scale))
+    return 0.5 * _max_gen_eig(g, q) * scale / tau.y
 
 
 def dual_sphere_with_directions(

@@ -4,6 +4,8 @@ Everything here recomputes expected values by a route different from the
 library code under test: finite differences for gradients, exhaustive
 level-by-level tree walks for suprema, direct lattice geometry for
 intersection numbers, and scipy for hulls and generalized eigenvalues.
+The flat-torus norm's closed form is cross-checked against its certified
+sup over rational slopes, found by the Farey engine.
 """
 
 from __future__ import annotations
@@ -12,7 +14,16 @@ import math
 
 import numpy as np
 
-from torusmetrics.farey import Slope
+from torusmetrics.farey import FareyNode, Slope
+from torusmetrics.supratio import SupQuery, SupRatioResult, maximize
+from torusmetrics.torus import (
+    TangentVector,
+    TorusPoint,
+    _apply_form,
+    _cone_ratio_max,
+    _max_gen_eig,
+    _norm_forms,
+)
 
 LOG2 = math.log(2.0)
 
@@ -234,3 +245,37 @@ def polygon_is_convex_with_origin(points) -> bool:
         if (edge_cross > 0.0) != cross_sign:
             return False
     return True
+
+
+# -- the flat-torus norm by the Farey engine --------------------------------
+
+def teich_norm_sup_parts(
+    tau: TorusPoint,
+    v: TangentVector,
+    tol: float,
+    max_depth: int,
+    max_evals: int,
+) -> tuple[float, SupRatioResult]:
+    """(closed-form circle max at tau, certified Farey sup) of dExt/(2 Ext)."""
+    g, q = _norm_forms(tau, v)
+    circle = 0.5 * _max_gen_eig(g, q)
+    # The engine wants finite objectives and works with an absolute
+    # tolerance; shift the sign-indefinite ratio into positive territory.
+    low = -0.5 * _max_gen_eig(tuple(-gi for gi in g), q)
+    shift = 1.0 + max(0.0, -low)
+
+    def objective(s: Slope) -> float:
+        u = s.direction()
+        return 0.5 * _apply_form(g, u) / _apply_form(q, u) + shift
+
+    def bound(node: FareyNode) -> float:
+        u, w = node.direction_pair()
+        return 0.5 * _cone_ratio_max(g, q, u, w) + shift
+
+    res = maximize(
+        SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals)
+    )
+    res.value -= shift
+    if res.frontier_bound is not None:
+        res.frontier_bound -= shift
+    return circle, res

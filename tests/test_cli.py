@@ -88,6 +88,22 @@ class TestDistThurston:
     def test_off_variety_point_exits_2(self):
         assert main(["dist-thurston", "--from", "3,3,4", "--to", "3,3,6"]) == 2
 
+    def test_sweep_stopped_by_max_evals_is_noted_on_stderr(self, capsys):
+        assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--max-depth", "30"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["engine"]["evals"] == 200_000
+        assert err.splitlines() == [
+            "note: max_evals stopped the sweep at depth 17 of 30 after 200000 of 3221225472 "
+            "evaluations"
+        ]
+
+    def test_no_note_for_full_sweeps_or_certified_searches(self, capsys):
+        pair = ["--from", "3,3,3", "--to", "3,3,6"]
+        assert main(["dist-thurston", *pair, "--max-depth", "16"]) == 0
+        assert main(["dist-thurston", *pair, "--certified-bound", "--tol", "0.005",
+                     "--max-depth", "2000"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_out_of_chart_exits_2(self):
         assert main(["dist-thurston", "--from", "chart:2.5,2.5", "--to", "3,3,6"]) == 2
 
@@ -110,6 +126,14 @@ class TestNorms:
         payload = json.loads(path.read_text())
         assert payload["norm"] > 0
         assert payload["engine"]["certified"] is False
+
+    def test_norm_thurston_notes_a_cut_inside_the_last_tier(self, capsys):
+        args = ["norm-thurston", "--at", "3,3,6", "--vx", "1", "--vy", "0", "--max-depth", "17"]
+        assert main(args) == 0
+        assert capsys.readouterr().err == (
+            "note: max_evals stopped the sweep at depth 17 of 17 after 200000 of 393216 "
+            "evaluations\n"
+        )
 
 
 class TestDualSphere:

@@ -14,7 +14,8 @@ from torusmetrics.farey import (
     root_nodes,
     slope_parents,
     split,
-    walk,
+    sweep,
+    tier_slope,
 )
 
 from _oracles import lattice_intersection_count
@@ -236,6 +237,12 @@ def _other_completion(a, b, c):
     return minus if c == plus else plus
 
 
+def _flat(tiers):
+    """The states of a sweep in its order: the root tier, then block by block."""
+    (_, out), *rest = tiers
+    return out + [s for _, blocks in rest for states in blocks for s in states]
+
+
 class TestCarriedState:
     ROOTS = (Slope(0, 1), Slope(1, 0), Slope(1, 1))
 
@@ -247,15 +254,26 @@ class TestCarriedState:
         assert slope_parents(s) == (a, b, c)
         return s
 
-    def test_walk_carries_slope_parents_in_order(self):
-        pos, neg = root_cells(self.ROOTS)
-        seen = []
-        for (lp, lq, rp, rq, depth, sign, *_), state in walk(
-            (*split(pos, self.ROOTS[2]), neg), 9, self.combine
-        ):
-            assert state == Slope(sign * (lp + rp), lq + rq)
-            seen.append(state)
-        assert seen == enumerate_slopes(9)[3:]
+    def test_sweep_carries_slope_parents_in_order(self):
+        tiers = sweep(self.ROOTS, self.combine, 9, math.inf)
+        _, seen = next(tiers)
+        assert seen == [*self.ROOTS, Slope(-1, 1)]
+        for depth, blocks in tiers:
+            for block, states in enumerate(blocks):
+                assert states == [tier_slope(depth, block, i) for i in range(len(states))]
+                seen += states
+        # breadth-first order, except that the sweep takes -1/1 with the roots
+        expected = enumerate_slopes(9)
+        expected.remove(Slope(-1, 1))
+        expected.insert(3, Slope(-1, 1))
+        assert seen == expected
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 5, 6, 13, 14, 20])
+    def test_sweep_budget_cuts_positive_block_first(self, budget):
+        tiers = list(sweep(self.ROOTS, self.combine, 4, budget))
+        assert all(states for _, blocks in tiers[1:] for states in blocks)
+        full = _flat(sweep(self.ROOTS, self.combine, 4, math.inf))
+        assert _flat(tiers) == full[:4 + budget]
 
     def test_path_state_reaches_deep_and_mirrored_slopes(self):
         slopes = [*enumerate_slopes(6), Slope(1, 40), Slope(-40, 1), Slope(-987, 610),
@@ -265,7 +283,10 @@ class TestCarriedState:
 
     def test_unchecked_nodes_equal_checked_nodes(self):
         pos, neg = root_cells((None, None, None))
-        got = [FareyNode._of_cell(cell) for cell, _ in walk((*split(pos, None), neg), 7, None)]
+        got, tier = [], [*split(pos, None), neg]
+        while tier[0][4] <= 7:
+            got += [FareyNode._of_cell(cell) for cell in tier]
+            tier = [child for cell in tier for child in split(cell, None)]
         pos_node, neg_node = root_nodes()
         expected, tier = [], [*pos_node.children(), neg_node]
         while tier[0].depth <= 7:

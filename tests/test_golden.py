@@ -11,6 +11,7 @@ record them again, only for a deliberate change of results, run
 import contextlib
 import io
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from torusmetrics import cli, ptorus
-from torusmetrics.farey import Slope, root_cells, split, walk
+from torusmetrics.farey import Slope, sweep, tier_slope
 from torusmetrics.ptorus import TraceCache, from_parameters, tangent_from_chart
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -102,17 +103,19 @@ def test_engine_panel_is_golden():
 
 @pytest.mark.parametrize("params", [(3.0, 3.0), (3.7, 5.2)])
 def test_sweep_log_traces_match_random_access(params):
-    # the carried-state walk and the root-to-slope path walk must agree
-    # bit for bit at every slope down to depth 10
+    # the tier sweep and the root-to-slope path walk must agree bit for bit
+    # at every slope down to depth 10
     cache = TraceCache(from_parameters(*params))
     roots = tuple(cache.log_trace(Slope(p, q)) for p, q in ((0, 1), (1, 0), (1, 1)))
-    pos, neg = root_cells(roots)
-    seen = 0
-    for (lp, lq, rp, rq, _, sign, *_), state in walk(
-        (*split(pos, roots[2]), neg), 10, ptorus._log_step
-    ):
-        assert state == cache.log_trace(Slope(sign * (lp + rp), lq + rq))
-        seen += 1
+    tiers = sweep(roots, ptorus._log_step, 10, math.inf)
+    _, root_tier = next(tiers)
+    assert root_tier == [*roots, cache.log_trace(Slope(-1, 1))]
+    seen = 1
+    for depth, blocks in tiers:
+        for block, states in enumerate(blocks):
+            for i, state in enumerate(states):
+                assert state == cache.log_trace(tier_slope(depth, block, i))
+                seen += 1
     assert seen == 3 * 2 ** 10 - 3
 
 

@@ -1,8 +1,18 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
-from torusmetrics.farey import Slope
+from torusmetrics import ptorus
+from torusmetrics.farey import Slope, enumerate_slopes, path_state
+from torusmetrics.ptorus import (
+    TraceCache,
+    from_parameters,
+    tangent_from_chart,
+    thurston_distance,
+    thurston_norm,
+)
 from torusmetrics.supratio import SupQuery, maximize
 
 from _oracles import torus_bruteforce_sup, torus_form
@@ -165,3 +175,134 @@ class TestStabilizationDepth:
         assert res.argmax == Slope(-1, 1)
         assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert obj(res.argmax) == res.value
+
+
+class TestTierSweepEquivalence:
+    """The tier sweep against a naive per-slope reference on the same queries.
+
+    The reference visits the slopes of enumerate_slopes in the engine's
+    evaluation order, takes each state from path_state (the root-to-slope
+    walk), and keeps the smallest key (-v, depth, p, q).
+    """
+
+    DEPTH = 8
+
+    @classmethod
+    def engine_order(cls):
+        """(slope, depth) to DEPTH: breadth first, but -1/1 comes with the roots."""
+        slopes = enumerate_slopes(cls.DEPTH)
+        depths = [0, 0, 0] + [d for d in range(1, cls.DEPTH + 1) for _ in range(3 * 2 ** (d - 1))]
+        order = list(zip(slopes, depths))
+        order.insert(3, order.pop(5))
+        assert order[3] == (Slope(-1, 1), 1)
+        return order
+
+    @classmethod
+    def naive_values(cls, query):
+        values = []
+        for slope, depth in cls.engine_order():
+            state = slope if query.combine is None else path_state(slope, query.roots, query.combine)
+            values.append((query.objective(state), depth, slope))
+        return values
+
+    @staticmethod
+    def naive_result(values, query):
+        # the four roots (-1/1 included) are always evaluated
+        kept = [e for i, e in enumerate(values) if i < 4 or e[1] <= query.max_depth]
+        kept = kept[:query.max_evals]
+        best = min((-v, d, s.p, s.q) for v, d, s in kept)
+        depth_max = {}
+        for v, d, _ in kept:
+            depth_max[d] = max(depth_max.get(d, -math.inf), v)
+        running, stab = -math.inf, 0
+        for d in sorted(depth_max):
+            if depth_max[d] > running + query.tolerance:
+                stab = d
+            running = max(running, depth_max[d])
+        return (-best[0], Slope(best[2], best[3]), len(kept), stab, max(depth_max))
+
+    def check_against_reference(self, make_query):
+        values = self.naive_values(make_query(self.DEPTH, 200_000))
+        # full sweeps, and cuts inside the root tier and inside both blocks
+        limits = [(d, m) for d in range(self.DEPTH + 1) for m in (*range(4, 51), 200_000)]
+        for depth, max_evals in limits:
+            query = make_query(depth, max_evals)
+            res = maximize(query)
+            got = (res.value, res.argmax, res.evals, res.stabilization_depth, res.depth_reached)
+            assert got == self.naive_result(values, query), (depth, max_evals)
+        return values
+
+    @staticmethod
+    def captured(call):
+        """The SupQuery a ptorus entry point hands to the engine."""
+        seen = []
+        original = ptorus.maximize
+        ptorus.maximize = lambda query: seen.append(query) or original(query)
+        try:
+            call()
+        finally:
+            ptorus.maximize = original
+        return seen[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_thurston_distance_and_norm(self, seed):
+        rng = random.Random(seed)
+        src, dst = (from_parameters(rng.uniform(3, 6), rng.uniform(3, 6)) for _ in range(2))
+        v = tangent_from_chart(src, rng.uniform(-1, 1), rng.uniform(-1, 1))
+        distance = self.captured(lambda: thurston_distance(src, dst, max_depth=0))
+        norm = self.captured(lambda: thurston_norm(src, v, max_depth=0))
+        for query in (distance, norm):
+            self.check_against_reference(
+                lambda d, m: dataclasses.replace(query, max_depth=d, max_evals=m))
+
+    def test_stateless_query(self):
+        self.check_against_reference(
+            lambda d, m: SupQuery(TestMonotonicityAndDeterminism._bumpy, None,
+                                  max_depth=d, max_evals=m))
+
+    @pytest.mark.parametrize("peaks", [("5/2", "2/5"), ("2/5", "-1/3"), ("-4/3", "-3/4", "7/2")])
+    def test_ties_inside_a_tier_go_to_the_smaller_slope(self, peaks):
+        # each set of peaks shares one depth; the smallest (p, q) must win
+        peaks = {Slope.parse(text) for text in peaks}
+        self.check_against_reference(
+            lambda d, m: SupQuery(lambda s: 2.0 if s in peaks else 1.0, None,
+                                  max_depth=d, max_evals=m))
+        assert maximize(SupQuery(lambda s: 2.0 if s in peaks else 1.0, None)).argmax == min(peaks)
+
+    def test_constant_objective_keeps_first_root(self):
+        # a self-distance: every ratio is exactly 1, so every tier ties
+        point = from_parameters(3.7, 5.2)
+        query = self.captured(lambda: thurston_distance(point, point, max_depth=0))
+        values = self.check_against_reference(
+            lambda d, m: dataclasses.replace(query, max_depth=d, max_evals=m))
+        assert {v for v, _, _ in values} == {1.0}
+        for depth in range(self.DEPTH + 1):
+            res = thurston_distance(point, point, max_depth=depth)
+            assert (res.value, res.argmax) == (1.0, Slope(0, 1))
+            assert res.evals == (3 * 2 ** depth if depth else 4)
+        assert thurston_distance(point, point, max_depth=12, max_evals=1000).evals == 1000
+
+
+class TestNonFiniteOnEitherBlock:
+    @pytest.mark.parametrize("bad", ["-3/5", "-5/3", "-1/2", "-8/13", "3/5", "13/8", "1/7"])
+    def test_error_names_the_slope(self, bad):
+        target = Slope.parse(bad)
+
+        def obj(s):
+            return math.nan if s == target else 1.0
+
+        with pytest.raises(ValueError, match=f"at slope {bad}$"):
+            maximize(SupQuery(obj, None, max_depth=7))
+
+    def test_carried_state_error_names_the_slope(self):
+        # the objective sees states only, so the name comes from the cell index
+        point = from_parameters(3.7, 5.2)
+        query = TestTierSweepEquivalence.captured(
+            lambda: thurston_distance(point, point, max_depth=0))
+        bad = TraceCache(point).log_trace(Slope(-3, 5))
+
+        def obj(state):
+            return math.inf if state[0] == bad else 1.0
+
+        with pytest.raises(ValueError, match="at slope -3/5$"):
+            maximize(dataclasses.replace(query, objective=obj, max_depth=6))

@@ -11,7 +11,6 @@ from torusmetrics.torus import (
     TangentVector,
     TorusPoint,
     WeightedFoliation,
-    _teich_norm_sup_parts,
     d_extremal,
     dual_sphere,
     dual_sphere_with_directions,
@@ -24,7 +23,13 @@ from torusmetrics.torus import (
     teich_norm,
 )
 
-from _oracles import central_diff, polygon_is_convex_with_origin, torus_bruteforce_sup, torus_form
+from _oracles import (
+    central_diff,
+    polygon_is_convex_with_origin,
+    teich_norm_sup_parts,
+    torus_bruteforce_sup,
+    torus_form,
+)
 
 I = TorusPoint(0.0, 1.0)
 
@@ -400,10 +405,20 @@ class TestTeichNorm:
             v = TangentVector(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if v.norm_sq() < 1e-4:
                 continue
-            circle, res = _teich_norm_sup_parts(tau, v, tol, 48, 200_000)
+            circle, res = teich_norm_sup_parts(tau, v, tol, 48, 200_000)
+            assert teich_norm(tau, v) == pytest.approx(circle, rel=1e-12)
             assert res.certified
             assert res.value <= circle + 1e-12
             assert circle <= res.value + tol
+
+    @pytest.mark.parametrize("x", [0.0, -0.7])
+    @pytest.mark.parametrize("y", [1e-200, 1e-300, 1e200])
+    def test_extreme_moduli_stay_finite(self, x, y):
+        # the forms at tau divide by y^2, which underflows or overflows here
+        for v in (TangentVector(1.0, 0.0), TangentVector(-3.0, 2.0), TangentVector(0.0, 1e-100)):
+            n = teich_norm(TorusPoint(x, y), v)
+            assert math.isfinite(n)
+            assert n == pytest.approx(math.hypot(v.vx, v.vy) / (2 * y), rel=1e-12)
 
     def test_weak_norm_axioms(self):
         rng = random.Random(71)
