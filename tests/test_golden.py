@@ -1,9 +1,11 @@
 """Golden outputs: CLI stdout and engine results must stay bit-identical.
 
 The files under ``golden/`` were recorded (CPython 3.11, x86-64 Linux libm)
-before the trace recursion was carried down the sweep; a performance change
-to the sweep or to random-access traces must reproduce them exactly.  To
-record them again, only for a deliberate change of results, run
+before the trace recursion was carried down the sweep, and ``flat_torus.json``
+and ``dist_teich.txt`` before the flat-torus queries carried slope states; a
+performance or design change to the engine, the sweep or random-access traces
+must reproduce them exactly.  To record them again, only for a deliberate
+change of results, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from torusmetrics import cli, ptorus
+from torusmetrics import cli, ptorus, torus
 from torusmetrics.farey import Slope, sweep, tier_slope
 from torusmetrics.ptorus import TraceCache, from_parameters, tangent_from_chart
+
+from _oracles import teich_norm_sup_parts
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -34,6 +38,7 @@ CLI_CASES = {
     "converge_boundary_csv": [
         "converge-boundary", "--base", "3,3,3", "--ks", "10,25,50",
         "--slopes", "1/3,2/3,1/2", "--format", "csv"],
+    "dist_teich": ["dist-teich", "--from", "0.3+0.7i", "--to=-0.45+2.2i"],
 }
 
 
@@ -87,6 +92,39 @@ def panel_result(case):
     return res.to_json_dict()
 
 
+# (max_depth, max_evals) of the flat-torus cases beyond the default limits:
+# truncation at shallow depths and eval caps inside the root tier and deeper
+FLAT_LIMITS = [(0, 200_000), (1, 200_000), (3, 200_000), (256, 4), (256, 5), (256, 20)]
+
+
+def flat_torus_inputs():
+    """Seeded moduli drawn like the flat-torus benchmark's: x in [-1, 1], log y in [-2, 2]."""
+    rng = random.Random(20261019)
+
+    def modulus():
+        return [rng.uniform(-1.0, 1.0), math.exp(rng.uniform(-2.0, 2.0))]
+
+    cases = [{"kind": "enum", "src": modulus(), "dst": modulus(),
+              "max_depth": 256, "max_evals": 200_000} for _ in range(200)]
+    for depth, evals in FLAT_LIMITS:
+        cases.append({"kind": "enum", "src": modulus(), "dst": modulus(),
+                      "max_depth": depth, "max_evals": evals})
+    for _ in range(8):
+        cases.append({"kind": "norm", "at": modulus(), "v": [rng.uniform(-1, 1), rng.uniform(-1, 1)]})
+    return cases
+
+
+def flat_torus_result(case):
+    if case["kind"] == "enum":
+        res = torus.teich_distance_enum(
+            torus.TorusPoint(*case["src"]), torus.TorusPoint(*case["dst"]),
+            max_depth=case["max_depth"], max_evals=case["max_evals"])
+        return {**res.to_json_dict(), "depth_reached": res.depth_reached}
+    circle, res = teich_norm_sup_parts(
+        torus.TorusPoint(*case["at"]), torus.TangentVector(*case["v"]), 1e-9, 48, 200_000)
+    return {**res.to_json_dict(), "depth_reached": res.depth_reached, "circle": circle}
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_stdout_is_golden(name):
     code, out = cli_stdout(CLI_CASES[name])
@@ -99,6 +137,18 @@ def test_engine_panel_is_golden():
     assert [entry["case"] for entry in recorded] == panel_inputs()
     for entry in recorded:
         assert panel_result(entry["case"]) == entry["result"], entry["case"]
+
+
+def test_flat_torus_panel_is_golden():
+    recorded = json.loads((GOLDEN / "flat_torus.json").read_text(encoding="utf-8"))
+    assert [entry["case"] for entry in recorded] == flat_torus_inputs()
+    results = [entry["result"] for entry in recorded]
+    # the panel must keep covering the cone bound on both blocks and the
+    # searches that max_depth stops uncertified
+    assert any(r["argmax"].startswith("-") for r in results)
+    assert any(not r["certified"] and r["depth_reached"] == 256 for r in results)
+    for entry in recorded:
+        assert flat_torus_result(entry["case"]) == entry["result"], entry["case"]
 
 
 @pytest.mark.parametrize("params", [(3.0, 3.0), (3.7, 5.2)])
@@ -127,6 +177,8 @@ def _record():
         (GOLDEN / f"{name}.txt").write_text(out, encoding="utf-8")
     panel = [{"case": case, "result": panel_result(case)} for case in panel_inputs()]
     (GOLDEN / "panel.json").write_text(json.dumps(panel, indent=1) + "\n", encoding="utf-8")
+    flat = [{"case": case, "result": flat_torus_result(case)} for case in flat_torus_inputs()]
+    (GOLDEN / "flat_torus.json").write_text(json.dumps(flat, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
