@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed or out-of-chart input points, 3 when
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -332,6 +333,7 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusmetrics",
@@ -342,11 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, depth_default):
+    def common(p, depth_default, formats=("json",)):
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-depth", type=int, default=depth_default)
         p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--require-certified", action="store_true")
 
     p = sub.add_parser("dist-teich", help="Teichmuller distance between torus points")
@@ -376,20 +378,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual-sphere", help="sample the dual sphere of extremal-length differentials")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--samples", type=int, default=256)
-    common(p, 1)
+    common(p, 1, ("json", "csv"))
 
     p = sub.add_parser("converge-boundary", help="normalized lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X,Y,Z")
     p.add_argument("--about", default="1/0", metavar="P/Q")
     p.add_argument("--ks", default="10,25,50", help="comma-separated twist counts")
     p.add_argument("--slopes", default="0/1,1/1,1/2", help="comma-separated slopes to track")
-    common(p, 12)
+    common(p, 12, ("json", "csv"))
 
     p = sub.add_parser("converge-gm", help="normalized extremal lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X+YI")
     p.add_argument("--ks", default="10,25,50")
     p.add_argument("--slopes", default="0/1,1/1,1/2")
-    common(p, 1)
+    common(p, 1, ("json", "csv"))
 
     p = sub.add_parser("gardiner-check", help="variational formula against the exact gradient")
     p.add_argument("--at", required=True, metavar="X+YI")

@@ -4,19 +4,19 @@ A slope p/q labels the isotopy class of an essential simple closed curve on
 the (punctured) torus.  Two slopes are Farey neighbors when |p1*q2 - q1*p2|
 is 1; the mediant of a neighbor pair splits their interval, and iterating
 this builds the Stern-Brocot tree, which reaches every slope exactly once.
-All suprema over curves in this package are searched by descending that
-tree, so the node type below doubles as the search cell of the sup engine.
+All suprema over curves in this package are searched by descending it.
 
 Negative slopes carry p < 0, q > 0.  The tree over them is the mirror image
 (p -> -p) of the positive tree, which keeps one canonical label per curve
 class and avoids double counting.
 
-The sup engine carries a caller-defined state per slope down the tree
-instead, so a recursion over Farey triangles costs O(1) per slope.  Its
-exhaustive mode sweeps the tree one tier (one depth) at a time over parallel
-lists of states (``sweep``); the certified mode and random access to one
-slope (``path_state``) walk plain tuple cells (``split``) with the same
-combine, operand order included, so all three agree bit for bit.
+The sup engine carries a caller-defined state per slope down the tree, so a
+recursion over Farey triangles costs O(1) per slope; the plainest state is
+the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  Its exhaustive mode
+sweeps the tree one tier (one depth) at a time over parallel lists of states
+(``sweep``); the certified mode and random access to one slope
+(``path_state``) walk plain tuple cells (``split``) with the same combine,
+operand order included, so all three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def intersection_number(a: Slope, b: Slope) -> int:
 
 @dataclass(frozen=True)
 class FareyNode:
-    """A Stern-Brocot interval: the search cell for suprema over slopes.
+    """A Stern-Brocot interval, checked: the reference form of a ``split`` cell.
 
     ``left`` and ``right`` are always stored as positive-tree endpoints;
     ``mirrored`` marks cells of the negative-slope copy of the tree.  The
@@ -133,17 +133,6 @@ class FareyNode:
         if self.depth < 0:
             raise ValueError("node depth must be nonnegative")
 
-    @classmethod
-    def _of_cell(cls, cell: tuple) -> "FareyNode":
-        """The node of a walk cell, whose endpoints are neighbors by construction."""
-        lp, lq, rp, rq, depth, sign = cell[:6]
-        node = object.__new__(cls)
-        object.__setattr__(node, "left", Slope._unchecked(lp, lq))
-        object.__setattr__(node, "right", Slope._unchecked(rp, rq))
-        object.__setattr__(node, "depth", depth)
-        object.__setattr__(node, "mirrored", sign < 0)
-        return node
-
     def mediant_slope(self) -> Slope:
         m = Slope(self.left.p + self.right.p, self.left.q + self.right.q)
         return m.mirrored() if self.mirrored else m
@@ -153,18 +142,6 @@ class FareyNode:
         return (
             FareyNode(self.left, m, self.depth + 1, self.mirrored),
             FareyNode(m, self.right, self.depth + 1, self.mirrored),
-        )
-
-    def direction_pair(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Endpoint direction vectors in the (p, q) plane, mirror applied.
-
-        The mirrored copy of 1/0 is reported as (-1, 0) so that the two
-        root cells together span every direction up to sign.
-        """
-        sign = -1.0 if self.mirrored else 1.0
-        return (
-            (sign * self.left.p, float(self.left.q)),
-            (sign * self.right.p, float(self.right.q)),
         )
 
     def endpoint_slopes(self) -> tuple[Slope, Slope]:
@@ -196,8 +173,39 @@ def root_nodes() -> tuple[FareyNode, FareyNode]:
 # the interval between positive-tree endpoints lp/lq < rp/rq, mirrored when
 # sign is -1, with caller-defined states at its endpoints and its opposite
 # vertex.  combine(s_a, s_b, s_c) gives the state at a mediant from its Farey
-# parents a, b and opposite vertex c, in slope_parents order; with combine
-# None every state is None.
+# parents a, b and opposite vertex c, in slope_parents order.
+
+# The states of a query that carries each slope as its own state.
+SLOPE_ROOTS = (Slope(0, 1), Slope(1, 0), Slope(1, 1))
+
+
+def add_slopes(a: Slope, b: Slope, c: Slope) -> Slope:
+    """combine for slope states: the completion of the edge a, b that is not c.
+
+    That is a + b, except on the mirrored side of 1/0, where the canonical
+    1/0 stands for the vector (-1, 0) and a + b is c; there it is a - b.
+    """
+    p, q = a.p + b.p, a.q + b.q
+    if p == c.p and q == c.q:
+        p, q = a.p - b.p, a.q - b.q
+        if q < 0:
+            p, q = -p, -q
+    return Slope._unchecked(p, q)
+
+
+def cone_directions(
+    left: Slope, right: Slope, opp: Slope
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The endpoint directions u, v of a cell that carries slope states.
+
+    Every slope strictly inside the cell is mu*u + nu*v with integers
+    mu, nu >= 1.  The right endpoint of a mirrored cell below 1/0 points
+    along (-1, 0), which the cell shows by left + right == opp.
+    """
+    rp, rq = right.p, right.q
+    if left.p + rp == opp.p and left.q + rq == opp.q:
+        rp, rq = -rp, -rq
+    return (float(left.p), float(left.q)), (float(rp), float(rq))
 
 
 def root_cells(roots: tuple) -> tuple[tuple, tuple]:
@@ -210,8 +218,6 @@ def root_cells(roots: tuple) -> tuple[tuple, tuple]:
 
 def mediant_state(cell: tuple, combine):
     """The state at the cell's mediant."""
-    if combine is None:
-        return None
     lp, lq, rp, rq, _, _, s_left, s_right, s_opp = cell
     if rq == 0 and lq == 1 and lp > 0:  # n/1 below 1/0: the left endpoint comes first
         return combine(s_left, s_right, s_opp)
@@ -235,11 +241,6 @@ def split(cell: tuple, s_mid) -> tuple[tuple, tuple]:
 # the left endpoints, at the right endpoints and at the opposite vertices.
 
 
-def _add_slopes(a: Slope, b: Slope, _c) -> Slope:
-    """combine for stateless sweeps, whose states are the slopes as vectors."""
-    return Slope._unchecked(a.p + b.p, a.q + b.q)
-
-
 def sweep(roots: tuple, combine, max_depth: int, budget):
     """Yield the mediant states of the sweep down to max_depth, tier by tier.
 
@@ -248,19 +249,13 @@ def sweep(roots: tuple, combine, max_depth: int, budget):
     of the positive block and, from depth 2, of the mirrored block, left to
     right.  Only the first ``budget`` mediants below the roots are combined
     and yielded, in that order; a block the budget does not reach is left
-    out, so no yielded block is empty.  With combine None the states are
-    the slopes themselves (roots is ignored).
+    out, so no yielded block is empty.
     """
-    if combine is None:
-        roots, combine = (Slope(0, 1), Slope(1, 0), Slope(1, 1)), _add_slopes
-        neg_inf = Slope._unchecked(-1, 0)  # the mirrored copy of 1/0, as a vector
-    else:
-        neg_inf = roots[1]
     s0, s_inf, s1 = roots
-    s_neg = combine(neg_inf, s0, s1)
+    s_neg = combine(s_inf, s0, s1)
     yield 0, [s0, s_inf, s1, s_neg]
     blocks = [([s0, s1], [s1, s_inf], [s_inf, s0])]
-    mirrored = ([s0, s_neg], [s_neg, neg_inf], [neg_inf, s0])
+    mirrored = ([s0, s_neg], [s_neg, s_inf], [s_inf, s0])
     for depth in range(1, max_depth + 1):
         if depth == 2:
             blocks.append(mirrored)
@@ -339,7 +334,7 @@ def enumerate_slopes(max_depth: int) -> list[Slope]:
             f"enumeration to depth {max_depth} would produce {3 * 2 ** max_depth} slopes; "
             f"the supported limit is depth {MAX_ENUM_DEPTH}"
         )
-    tiers = sweep(None, None, max_depth, math.inf)
+    tiers = sweep(SLOPE_ROOTS, add_slopes, max_depth, math.inf)
     _, (s0, s_inf, s1, s_neg) = next(tiers)
     out = [s0, s_inf, s1]
     for depth, blocks in tiers:

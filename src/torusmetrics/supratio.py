@@ -6,12 +6,12 @@ over a whole subtree, and prunes once no unexplored cell can beat the best
 value by more than the tolerance; the result is then certified.  Without a
 sound bound it falls back to an exhaustive sweep down to ``max_depth`` and
 reports honestly that nothing was certified, along with the depth at which
-the value empirically stabilized.  Both modes can carry a per-slope state
-down the tree, so objectives built on a recursion over Farey triangles
-cost O(1) per slope.  The exhaustive sweep goes one tier (one depth) at a
-time (see farey.sweep): one combine and one objective call per slope over
-flat lists, and the argmax is resolved only on tiers whose maximum beats
-the best value so far.
+the value empirically stabilized.  Both modes carry a per-slope state
+down the tree (by default the slope itself), so objectives built on a
+recursion over Farey triangles cost O(1) per slope.  The exhaustive sweep
+goes one tier (one depth) at a time (see farey.sweep): one combine and one
+objective call per slope over flat lists, and the argmax is resolved only
+on tiers whose maximum beats the best value so far.
 
 Results are a pure function of the query: evaluation order never changes
 the reported value or argmax (ties are broken by depth, then slope), so
@@ -26,7 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .farey import FareyNode, Slope, mediant_state, root_cells, split, sweep, tier_slope
+from .farey import (
+    SLOPE_ROOTS, Slope, add_slopes, mediant_state, root_cells, split, sweep, tier_slope,
+)
 
 __all__ = ["SupQuery", "SupRatioResult", "maximize"]
 
@@ -35,13 +37,13 @@ __all__ = ["SupQuery", "SupRatioResult", "maximize"]
 class SupQuery:
     """A supremum problem over all slopes.
 
-    Two forms.  Without ``combine``, ``objective(slope)`` scores a Slope and
-    ``subtree_bound(node)`` bounds a FareyNode.  With ``combine``, each slope
-    carries a caller-defined state: ``roots`` holds the states at 0/1, 1/0
-    and 1/1, ``combine`` derives the rest down the tree (see farey.sweep),
-    ``objective(state)`` scores a slope from its state, and
-    ``subtree_bound(s_left, s_right, s_opp)`` bounds a cell from the states
-    at its endpoints and its opposite vertex.
+    Each slope carries a state: ``roots`` holds the states at 0/1, 1/0 and
+    1/1, and ``combine`` derives the rest down the tree (see farey.sweep).
+    Given neither, the state of a slope is the Slope itself
+    (farey.SLOPE_ROOTS and farey.add_slopes).  ``objective(state)`` scores a
+    slope from its state, and ``subtree_bound(s_left, s_right, s_opp)``
+    bounds a cell from the states at its endpoints and its opposite vertex
+    (for slope states, farey.cone_directions gives the cell's cone).
 
     ``subtree_bound`` must upper-bound the objective over every slope
     strictly inside the cell whenever it is supplied; pass None to run in
@@ -64,8 +66,10 @@ class SupQuery:
             raise ValueError("max_depth must be nonnegative")
         if self.max_evals < 4:
             raise ValueError("max_evals must allow at least the root evaluations")
-        if (self.roots is None) != (self.combine is None):
+        if (self.roots is not None) != (self.combine is not None):
             raise ValueError("roots and combine must be given together")
+        if self.roots is None:
+            self.roots, self.combine = SLOPE_ROOTS, add_slopes
 
 
 @dataclass
@@ -119,16 +123,9 @@ class _Search:
         self.best_value = -math.inf
         self.best_key: Optional[tuple] = None
         self.depth_max: dict[int, float] = {}
-        objective, bound = query.objective, query.subtree_bound
-        if query.combine is None:
-            self.score = lambda p, q, state: objective(Slope._unchecked(p, q))
-            self.bound = lambda cell: bound(FareyNode._of_cell(cell))
-        else:
-            self.score = lambda p, q, state: objective(state)
-            self.bound = lambda cell: bound(cell[6], cell[7], cell[8])
 
     def evaluate(self, p: int, q: int, depth: int, state) -> None:
-        v = self.score(p, q, state)
+        v = self.query.objective(state)
         if _bad_value(v):
             raise _non_finite(v, Slope._unchecked(p, q))
         v = float(v)
@@ -210,7 +207,7 @@ def maximize(query: SupQuery) -> SupRatioResult:
     search = _Search(query)
     if query.subtree_bound is None:
         return _maximize_exhaustive(search)
-    roots = query.roots or (None, None, None)
+    roots = query.roots
     pos, neg = root_cells(roots)
     s_neg = mediant_state(neg, query.combine)
     for (p, q, depth), state in zip(_ROOT_TIER, (*roots, s_neg)):
@@ -231,7 +228,7 @@ def _maximize_exhaustive(search: _Search) -> SupRatioResult:
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     query = search.query
-    bound, combine = search.bound, query.combine
+    bound, combine = query.subtree_bound, query.combine
 
     heap: list[tuple] = []
     # Upper bounds over regions that max_depth prevented us from opening.
@@ -241,8 +238,8 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
 
     def push(cell: tuple) -> None:
         nonlocal truncated
-        b = float(bound(cell))
-        lp, lq, rp, rq, depth, sign = cell[:6]
+        lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp = cell
+        b = float(bound(s_left, s_right, s_opp))
         if depth > query.max_depth:
             truncated = max(truncated, b)
         else:

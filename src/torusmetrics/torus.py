@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
-from .farey import FareyNode, Slope
+from .farey import Slope, cone_directions
 from .supratio import SupQuery, SupRatioResult, maximize
 
 __all__ = [
@@ -265,9 +265,8 @@ def teich_distance_enum(
         u = s.direction()
         return _apply_form(a, u) / _apply_form(b, u)
 
-    def bound(node: FareyNode) -> float:
-        u, v = node.direction_pair()
-        return _cone_ratio_max(a, b, u, v)
+    def bound(left: Slope, right: Slope, opp: Slope) -> float:
+        return _cone_ratio_max(a, b, *cone_directions(left, right, opp))
 
     return maximize(
         SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from torusmetrics.farey import FareyNode, Slope
+from torusmetrics.farey import Slope, cone_directions
 from torusmetrics.supratio import SupQuery, SupRatioResult, maximize
 from torusmetrics.torus import (
     TangentVector,
@@ -268,9 +268,8 @@ def teich_norm_sup_parts(
         u = s.direction()
         return 0.5 * _apply_form(g, u) / _apply_form(q, u) + shift
 
-    def bound(node: FareyNode) -> float:
-        u, w = node.direction_pair()
-        return 0.5 * _cone_ratio_max(g, q, u, w) + shift
+    def bound(left: Slope, right: Slope, opp: Slope) -> float:
+        return 0.5 * _cone_ratio_max(g, q, *cone_directions(left, right, opp)) + shift
 
     res = maximize(
         SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals)

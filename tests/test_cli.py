@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import torusmetrics
+from torusmetrics import cli
 from torusmetrics.cli import main
 
 from _oracles import polygon_is_convex_with_origin
@@ -248,6 +249,45 @@ class TestArgumentHandling:
 
     def test_bad_tol_exits_2(self):
         assert main(["dist-teich", "--from", "i", "--to", "2i", "--tol", "-1"]) == 2
+
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        # one parser serves every call; options of one call must not leak
+        args = ["dist-teich", "--from", "0.25+1.5i", "--to=-0.75+0.8i"]
+        outs = []
+        for extra in ([], ["--tol", "1e-3", "--max-depth", "7"], []):
+            assert main(args + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[2] != outs[1]
+        assert json.loads(outs[2])["engine"]["tol"] == 1e-6
+        assert cli._build_parser() is cli._build_parser()
+
+
+JSON_ONLY = {
+    "dist-teich": ["--from", "i", "--to", "2i"],
+    "dist-thurston": ["--from", "3,3,3", "--to", "3,3,6", "--max-depth", "4"],
+    "norm-teich": ["--at", "i", "--vx", "1", "--vy", "0"],
+    "norm-thurston": ["--at", "3,3,6", "--vx", "1", "--vy", "0", "--max-depth", "4"],
+    "gardiner-check": ["--at", "i", "--samples", "5"],
+}
+
+
+class TestJsonOnlyCommands:
+    @pytest.mark.parametrize("command", sorted(JSON_ONLY))
+    def test_csv_is_rejected_by_the_parser(self, command):
+        env = dict(os.environ, PYTHONPATH=str(Path(torusmetrics.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusmetrics", command, *JSON_ONLY[command], "--format", "csv"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "invalid choice: 'csv'" in proc.stderr
+
+    @pytest.mark.parametrize("command", sorted(JSON_ONLY))
+    def test_explicit_json_still_works(self, command, capsys):
+        assert main([command, *JSON_ONLY[command], "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == command
 
 
 class TestModuleEntryPoints:

@@ -4,11 +4,15 @@ import pytest
 
 from torusmetrics.farey import (
     MAX_ENUM_DEPTH,
+    SLOPE_ROOTS,
     FareyNode,
     Slope,
+    add_slopes,
+    cone_directions,
     enumerate_slopes,
     intersection_number,
     mediant,
+    mediant_state,
     path_state,
     root_cells,
     root_nodes,
@@ -113,8 +117,9 @@ class TestIntersectionNumber:
             assert intersection_number(left, right) == 1
 
 
-def _walk_nodes(depth):
-    frontier = list(root_nodes())
+def _walk_nodes(depth, *start):
+    """The nodes below start (default both roots) down to depth, depth first."""
+    frontier = list(start or root_nodes())
     while frontier:
         node = frontier.pop()
         if node.depth > depth:
@@ -184,11 +189,18 @@ class TestFareyNode:
         assert r.left == pos.mediant_slope() and r.right == pos.right
         assert neg.mirrored and neg.mediant_slope() == Slope(-1, 1)
 
-    def test_direction_pair_mirrors(self):
-        _, neg = root_nodes()
-        (u, v) = neg.direction_pair()
-        assert u == (0.0, 1.0)
-        assert v == (-1.0, 0.0)
+    def test_cone_directions_span_every_slope_inside_the_cell(self):
+        # the cone bound of the flat torus is sound only if every slope below
+        # a cell is a positive integer combination of its endpoint directions
+        for cell, node in _cells_and_nodes(8):
+            (ux, uy), (vx, vy) = cone_directions(*cell[6:])
+            det = ux * vy - uy * vx
+            assert abs(det) == 1.0
+            for inner in _walk_nodes(10, node):
+                s = inner.mediant_slope()
+                mu, nu = (s.p * vy - s.q * vx) / det, (ux * s.q - uy * s.p) / det
+                assert mu >= 1 and nu >= 1, (cell, s)
+                assert (mu * ux + nu * vx, mu * uy + nu * vy) == (s.p, s.q)
 
     def test_endpoint_slopes_mirrors(self):
         _, neg = root_nodes()
@@ -228,6 +240,17 @@ class TestSlopeParents:
                 continue
             a, b, c = slope_parents(s)
             assert mediant(a, b) == s
+
+
+def _cells_and_nodes(depth):
+    """Each split cell down to depth, carrying slope states, with its reference node."""
+    pos, neg = root_cells(SLOPE_ROOTS)
+    pos_node, neg_node = root_nodes()
+    cells, nodes = [*split(pos, SLOPE_ROOTS[2]), neg], [*pos_node.children(), neg_node]
+    while nodes[0].depth <= depth:
+        yield from zip(cells, nodes)
+        cells = [child for cell in cells for child in split(cell, mediant_state(cell, add_slopes))]
+        nodes = [child for node in nodes for child in node.children()]
 
 
 def _other_completion(a, b, c):
@@ -282,14 +305,13 @@ class TestCarriedState:
             assert path_state(s, self.ROOTS, self.combine) == s
 
     def test_unchecked_nodes_equal_checked_nodes(self):
-        pos, neg = root_cells((None, None, None))
-        got, tier = [], [*split(pos, None), neg]
-        while tier[0][4] <= 7:
-            got += [FareyNode._of_cell(cell) for cell in tier]
-            tier = [child for cell in tier for child in split(cell, None)]
-        pos_node, neg_node = root_nodes()
-        expected, tier = [], [*pos_node.children(), neg_node]
-        while tier[0].depth <= 7:
-            expected += tier
-            tier = [child for node in tier for child in node.children()]
-        assert got == expected
+        # split builds its cells without checks; they must be the checked
+        # nodes, and their slope states the nodes' endpoints and opposite vertex
+        count = 0
+        for cell, node in _cells_and_nodes(7):
+            sign = -1 if node.mirrored else 1
+            assert cell[:6] == (node.left.p, node.left.q, node.right.p, node.right.q,
+                                node.depth, sign)
+            assert cell[6:] == (*node.endpoint_slopes(), node.opposite_slope())
+            count += 1
+        assert count == 3 * 2 ** 7 - 3

@@ -19,7 +19,7 @@ from _oracles import torus_bruteforce_sup, torus_form
 
 
 def constant_bound(value):
-    return lambda node: value
+    return lambda left, right, opp: value
 
 
 class TestConstantObjective:
@@ -150,6 +150,10 @@ class TestErrorHandling:
             SupQuery(lambda s: 1.0, None, max_depth=-1)
         with pytest.raises(ValueError):
             SupQuery(lambda s: 1.0, None, max_evals=2)
+        with pytest.raises(ValueError, match="together"):
+            SupQuery(lambda s: 1.0, None, roots=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="together"):
+            SupQuery(lambda s: 1.0, None, combine=lambda a, b, c: a)
 
 
 class TestStabilizationDepth:
@@ -201,7 +205,7 @@ class TestTierSweepEquivalence:
     def naive_values(cls, query):
         values = []
         for slope, depth in cls.engine_order():
-            state = slope if query.combine is None else path_state(slope, query.roots, query.combine)
+            state = path_state(slope, query.roots, query.combine)
             values.append((query.objective(state), depth, slope))
         return values
 
