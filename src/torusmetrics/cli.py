@@ -5,8 +5,10 @@ output path or stdout, carrying the tolerance and certification metadata
 that produced each number.  Runs are deterministic: identical arguments
 produce byte-identical output.
 
-Exit codes: 0 success, 2 malformed or out-of-chart input points, 3 when
+Exit codes: 0 success, 1 a numeric fault (overflow, underflow to zero)
+at extreme but valid input, 2 malformed or out-of-chart input, 3 when
 --require-certified is set and an enumerated supremum was not certified.
+``main(argv)`` is the in-process entry point and returns the exit code.
 """
 
 from __future__ import annotations
@@ -16,142 +18,110 @@ import functools
 import io
 import json
 import math
+import random
 import sys
-from dataclasses import dataclass
 
 from . import ptorus, torus
-from .errors import InvalidPointError
-from .farey import Slope, intersection_number
+from .farey import Slope, enumerate_slopes, intersection_number
 from .supratio import SupRatioResult
 
-__all__ = ["RunConfig", "run", "main", "entry"]
-
-_COMMANDS = (
-    "dist-teich",
-    "dist-thurston",
-    "norm-teich",
-    "norm-thurston",
-    "dual-sphere",
-    "converge-boundary",
-    "converge-gm",
-    "gardiner-check",
-)
+__all__ = ["main", "entry"]
 
 
-@dataclass
-class RunConfig:
-    """A fully parsed invocation; ``options`` holds per-command parameters."""
-
-    command: str
-    options: dict
-    tol: float
-    max_depth: int
-    output_path: str | None
-    format: str
-    require_certified: bool = False
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max-depth must be at least 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
-def _engine_meta(res: SupRatioResult, cfg: RunConfig) -> dict:
+def _engine_meta(res: SupRatioResult, args: argparse.Namespace) -> dict:
     meta = res.to_json_dict()
-    meta["tol"] = cfg.tol
-    meta["max_depth"] = cfg.max_depth
+    meta["tol"] = args.tol
+    meta["max_depth"] = args.max_depth
     return meta
 
 
-def _note_cut_sweep(res: SupRatioResult, cfg: RunConfig) -> None:
+def _note_cut_sweep(res: SupRatioResult, args: argparse.Namespace) -> None:
     """Say on stderr when max_evals stopped an exhaustive sweep short of max_depth."""
-    full = 3 * 2 ** cfg.max_depth  # slopes of depth <= max_depth (see farey.enumerate_slopes)
+    # slopes of depth <= max_depth (see farey.enumerate_slopes); past depth 64
+    # the count is far beyond max_evals, and too long to build or print in full
+    full = 3 * 2 ** min(args.max_depth, 64)
     if res.evals < full:
+        total = full if args.max_depth <= 64 else f"3*2^{args.max_depth}"
         print(
             f"note: max_evals stopped the sweep at depth {res.depth_reached} of "
-            f"{cfg.max_depth} after {res.evals} of {full} evaluations",
+            f"{args.max_depth} after {res.evals} of {total} evaluations",
             file=sys.stderr,
         )
 
 
-def _run_dist_teich(cfg: RunConfig):
-    src = torus.TorusPoint.parse(cfg.options["src"])
-    dst = torus.TorusPoint.parse(cfg.options["dst"])
-    res = torus.teich_distance_enum(src, dst, tol=cfg.tol, max_depth=cfg.max_depth)
+def _run_dist_teich(args: argparse.Namespace):
+    src = torus.TorusPoint.parse(args.src)
+    dst = torus.TorusPoint.parse(args.dst)
+    res = torus.teich_distance_enum(src, dst, tol=args.tol, max_depth=args.max_depth)
     out = {
-        "command": cfg.command,
+        "command": args.command,
         "from": str(src),
         "to": str(dst),
         "distance": 0.5 * math.log(res.value),
-        "engine": _engine_meta(res, cfg),
+        "engine": _engine_meta(res, args),
     }
     return out, res.certified
 
 
-def _run_dist_thurston(cfg: RunConfig):
-    src = ptorus.MarkovPoint.parse(cfg.options["src"])
-    dst = ptorus.MarkovPoint.parse(cfg.options["dst"])
+def _run_dist_thurston(args: argparse.Namespace):
+    src = ptorus.MarkovPoint.parse(args.src)
+    dst = ptorus.MarkovPoint.parse(args.dst)
     res = ptorus.thurston_distance(
-        src, dst, tol=cfg.tol, max_depth=cfg.max_depth,
-        certified_bound=cfg.options["certified_bound"],
+        src, dst, tol=args.tol, max_depth=args.max_depth,
+        certified_bound=args.certified_bound,
     )
-    if not cfg.options["certified_bound"]:
-        _note_cut_sweep(res, cfg)
+    if not args.certified_bound:
+        _note_cut_sweep(res, args)
     out = {
-        "command": cfg.command,
+        "command": args.command,
         "from": src.to_json_dict(),
         "to": dst.to_json_dict(),
         "distance": math.log(res.value),
-        "engine": _engine_meta(res, cfg),
+        "engine": _engine_meta(res, args),
     }
     return out, res.certified
 
 
-def _run_norm_teich(cfg: RunConfig):
-    at = torus.TorusPoint.parse(cfg.options["at"])
-    v = torus.TangentVector(cfg.options["vx"], cfg.options["vy"])
+def _run_norm_teich(args: argparse.Namespace):
+    at = torus.TorusPoint.parse(args.at)
+    v = torus.TangentVector(args.vx, args.vy)
     value = torus.teich_norm(at, v)
     out = {
-        "command": cfg.command,
+        "command": args.command,
         "at": str(at),
         "vx": v.vx,
         "vy": v.vy,
         "norm": value,
         "certified": True,
-        "tol": cfg.tol,
-        "max_depth": cfg.max_depth,
+        "tol": args.tol,
+        "max_depth": args.max_depth,
     }
     return out, True
 
 
-def _run_norm_thurston(cfg: RunConfig):
-    at = ptorus.MarkovPoint.parse(cfg.options["at"])
-    v = ptorus.tangent_from_chart(at, cfg.options["vx"], cfg.options["vy"])
-    res = ptorus.thurston_norm(at, v, tol=cfg.tol, max_depth=cfg.max_depth)
-    _note_cut_sweep(res, cfg)
+def _run_norm_thurston(args: argparse.Namespace):
+    at = ptorus.MarkovPoint.parse(args.at)
+    v = ptorus.tangent_from_chart(at, args.vx, args.vy)
+    res = ptorus.thurston_norm(at, v, tol=args.tol, max_depth=args.max_depth)
+    _note_cut_sweep(res, args)
     out = {
-        "command": cfg.command,
+        "command": args.command,
         "at": at.to_json_dict(),
-        "chart_vx": cfg.options["vx"],
-        "chart_vy": cfg.options["vy"],
+        "chart_vx": args.vx,
+        "chart_vy": args.vy,
         "norm": res.value,
-        "engine": _engine_meta(res, cfg),
+        "engine": _engine_meta(res, args),
     }
     return out, res.certified
 
 
-def _run_dual_sphere(cfg: RunConfig):
-    at = torus.TorusPoint.parse(cfg.options["at"])
-    n = cfg.options["samples"]
+def _run_dual_sphere(args: argparse.Namespace):
+    at = torus.TorusPoint.parse(args.at)
+    n = args.samples
     samples = torus.dual_sphere_with_directions(at, n)
-    if cfg.format == "json":
+    if args.format == "json":
         out = {
-            "command": cfg.command,
+            "command": args.command,
             "at": str(at),
             "samples": n,
             "method": "closed form, exact per sample",
@@ -175,11 +145,11 @@ def _direction_label(theta: float) -> str:
     return repr(theta)
 
 
-def _run_converge_boundary(cfg: RunConfig):
-    base = ptorus.MarkovPoint.parse(cfg.options["base"])
-    about = Slope.parse(cfg.options["about"])
-    ks = cfg.options["ks"]
-    lams = [Slope.parse(s) for s in cfg.options["slopes"]]
+def _run_converge_boundary(args: argparse.Namespace):
+    base = ptorus.MarkovPoint.parse(args.base)
+    about = Slope.parse(args.about)
+    ks = [int(part) for part in args.ks.split(",") if part]
+    lams = [Slope.parse(part) for part in args.slopes.split(",") if part]
     rows = []
     results = []
     certified = True
@@ -188,7 +158,7 @@ def _run_converge_boundary(cfg: RunConfig):
             point = ptorus.dehn_twist(base, about, k)
         except OverflowError as exc:
             raise ValueError(f"--ks {k}: {exc}") from exc
-        res = ptorus.thurston_distance(base, point, tol=cfg.tol, max_depth=cfg.max_depth)
+        res = ptorus.thurston_distance(base, point, tol=args.tol, max_depth=args.max_depth)
         stretch = res.value
         certified = certified and res.certified
         for s in lams:
@@ -205,29 +175,29 @@ def _run_converge_boundary(cfg: RunConfig):
                     "certified": res.certified,
                 }
             )
-    if cfg.format == "json":
+    if args.format == "json":
         out = {
-            "command": cfg.command,
+            "command": args.command,
             "base": base.to_json_dict(),
             "about": str(about),
-            "tol": cfg.tol,
-            "max_depth": cfg.max_depth,
+            "tol": args.tol,
+            "max_depth": args.max_depth,
             "rows": results,
         }
         return out, certified
     header = ["k", "slope", "length", "L_X", "normalized_value"]
     meta = (
         f"# normalized length functional along twists about {about} of {base}"
-        f" tol={cfg.tol!r} max_depth={cfg.max_depth} certified=false"
+        f" tol={args.tol!r} max_depth={args.max_depth} certified=false"
     )
     csv_rows = [(str(k), s, repr(l), repr(L), repr(nv)) for k, s, l, L, nv in rows]
     return (meta, header, csv_rows), certified
 
 
-def _run_converge_gm(cfg: RunConfig):
-    base = torus.TorusPoint.parse(cfg.options["base"])
-    ks = cfg.options["ks"]
-    lams = [Slope.parse(s) for s in cfg.options["slopes"]]
+def _run_converge_gm(args: argparse.Namespace):
+    base = torus.TorusPoint.parse(args.base)
+    ks = [int(part) for part in args.ks.split(",") if part]
+    lams = [Slope.parse(part) for part in args.slopes.split(",") if part]
     rows = []
     for k in ks:
         point = torus.TorusPoint(base.x + k, base.y)
@@ -237,11 +207,11 @@ def _run_converge_gm(cfg: RunConfig):
                 torus.extremal_length(torus.WeightedFoliation(1.0, s), point)
             )
             rows.append((k, str(s), root, growth, root / growth))
-    if cfg.format == "json":
+    if args.format == "json":
         out = {
-            "command": cfg.command,
+            "command": args.command,
             "base": str(base),
-            "tol": cfg.tol,
+            "tol": args.tol,
             "rows": [
                 {
                     "k": k,
@@ -260,14 +230,10 @@ def _run_converge_gm(cfg: RunConfig):
     return (meta, header, csv_rows), True
 
 
-def _run_gardiner_check(cfg: RunConfig):
-    import random
-
-    at = torus.TorusPoint.parse(cfg.options["at"])
-    n = cfg.options["samples"]
-    rng = random.Random(cfg.options["seed"])
-    from .farey import enumerate_slopes
-
+def _run_gardiner_check(args: argparse.Namespace):
+    at = torus.TorusPoint.parse(args.at)
+    n = args.samples
+    rng = random.Random(args.seed)
     slopes = enumerate_slopes(6)
     worst = 0.0
     for _ in range(n):
@@ -279,31 +245,19 @@ def _run_gardiner_check(cfg: RunConfig):
         denom = max(abs(rhs), 1e-12)
         worst = max(worst, abs(lhs - rhs) / denom)
     out = {
-        "command": cfg.command,
+        "command": args.command,
         "at": str(at),
         "samples": n,
-        "seed": cfg.options["seed"],
+        "seed": args.seed,
         "max_rel_err": worst,
-        "tol": cfg.tol,
-        "pass": worst <= cfg.tol,
+        "tol": args.tol,
+        "pass": worst <= args.tol,
     }
     return out, True
 
 
-_RUNNERS = {
-    "dist-teich": _run_dist_teich,
-    "dist-thurston": _run_dist_thurston,
-    "norm-teich": _run_norm_teich,
-    "norm-thurston": _run_norm_thurston,
-    "dual-sphere": _run_dual_sphere,
-    "converge-boundary": _run_converge_boundary,
-    "converge-gm": _run_converge_gm,
-    "gardiner-check": _run_gardiner_check,
-}
-
-
-def _render(payload, cfg: RunConfig) -> str:
-    if cfg.format == "json":
+def _render(payload, fmt: str) -> str:
+    if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     meta, header, rows = payload
     buf = io.StringIO()
@@ -312,25 +266,6 @@ def _render(payload, cfg: RunConfig) -> str:
     for row in rows:
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    try:
-        payload, certified = _RUNNERS[cfg.command](cfg)
-    except (InvalidPointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = _render(payload, cfg)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if cfg.require_certified and not certified:
-        print("error: result was not certified at the requested tolerance", file=sys.stderr)
-        return 3
-    return 0
 
 
 @functools.cache
@@ -344,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, depth_default, formats=("json",)):
+    def common(p, run, depth_default, formats=("json",)):
+        p.set_defaults(run=run)
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-depth", type=int, default=depth_default)
         p.add_argument("--output", default=None, help="output file (default stdout)")
@@ -354,84 +290,79 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist-teich", help="Teichmuller distance between torus points")
     p.add_argument("--from", dest="src", required=True, metavar="X+YI")
     p.add_argument("--to", dest="dst", required=True, metavar="X+YI")
-    common(p, 256)
+    common(p, _run_dist_teich, 256)
 
     p = sub.add_parser("dist-thurston", help="directed Thurston distance between Markov points")
     p.add_argument("--from", dest="src", required=True, metavar="X,Y,Z")
     p.add_argument("--to", dest="dst", required=True, metavar="X,Y,Z")
     p.add_argument("--certified-bound", action="store_true",
                    help="prune with the collar subtree bound (coarse tolerances only)")
-    common(p, 12)
+    common(p, _run_dist_thurston, 12)
 
     p = sub.add_parser("norm-teich", help="Teichmuller Finsler norm of a tangent vector")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--vx", type=float, required=True)
     p.add_argument("--vy", type=float, required=True)
-    common(p, 256)
+    common(p, _run_norm_teich, 256)
 
     p = sub.add_parser("norm-thurston", help="Thurston Finsler norm of a chart tangent")
     p.add_argument("--at", required=True, metavar="X,Y,Z")
     p.add_argument("--vx", type=float, required=True, help="chart dx component")
     p.add_argument("--vy", type=float, required=True, help="chart dy component")
-    common(p, 12)
+    common(p, _run_norm_thurston, 12)
 
     p = sub.add_parser("dual-sphere", help="sample the dual sphere of extremal-length differentials")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--samples", type=int, default=256)
-    common(p, 1, ("json", "csv"))
+    common(p, _run_dual_sphere, 1, ("json", "csv"))
 
     p = sub.add_parser("converge-boundary", help="normalized lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X,Y,Z")
     p.add_argument("--about", default="1/0", metavar="P/Q")
     p.add_argument("--ks", default="10,25,50", help="comma-separated twist counts")
     p.add_argument("--slopes", default="0/1,1/1,1/2", help="comma-separated slopes to track")
-    common(p, 12, ("json", "csv"))
+    common(p, _run_converge_boundary, 12, ("json", "csv"))
 
     p = sub.add_parser("converge-gm", help="normalized extremal lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X+YI")
     p.add_argument("--ks", default="10,25,50")
     p.add_argument("--slopes", default="0/1,1/1,1/2")
-    common(p, 1, ("json", "csv"))
+    common(p, _run_converge_gm, 1, ("json", "csv"))
 
     p = sub.add_parser("gardiner-check", help="variational formula against the exact gradient")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=20240101)
-    common(p, 6)
+    common(p, _run_gardiner_check, 6)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = {}
-    for key in ("src", "dst", "at", "vx", "vy", "samples", "seed", "base", "about"):
-        if hasattr(args, key):
-            options[key] = getattr(args, key)
-    if hasattr(args, "certified_bound"):
-        options["certified_bound"] = args.certified_bound
-    if hasattr(args, "ks"):
-        options["ks"] = [int(part) for part in args.ks.split(",") if part]
-    if hasattr(args, "slopes"):
-        options["slopes"] = [part for part in args.slopes.split(",") if part]
-    return RunConfig(
-        command=args.command,
-        options=options,
-        tol=args.tol,
-        max_depth=args.max_depth,
-        output_path=args.output,
-        format=args.format,
-        require_certified=args.require_certified,
-    )
-
-
 def main(argv=None) -> int:
+    """Run one command line in-process; returns the exit status."""
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        if args.tol <= 0:
+            raise ValueError("tol must be positive")
+        if args.max_depth < 1:
+            raise ValueError("max-depth must be at least 1")
+        payload, certified = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    except ArithmeticError as exc:
+        print(f"error: numeric fault ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 1
+    text = _render(payload, args.format)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    if args.require_certified and not certified:
+        print("error: result was not certified at the requested tolerance", file=sys.stderr)
+        return 3
+    return 0
 
 
 def entry() -> None:

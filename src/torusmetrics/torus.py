@@ -172,7 +172,12 @@ def gardiner_pairing(phi: QuadDiff, v: TangentVector, tau: TorusPoint) -> float:
 
 def _q_form(tau: TorusPoint) -> tuple[float, float, float]:
     """Symmetric form (f11, f12, f22) with Ext_(p,q) = [p q] F [p q]^T."""
-    return (1.0 / tau.y, tau.x / tau.y, (tau.x * tau.x + tau.y * tau.y) / tau.y)
+    x, y = tau.x, tau.y
+    f22 = (x * x + y * y) / y
+    if not 0.0 < f22 < math.inf:
+        # x^2 + y^2 overflowed (huge y) or underflowed to 0 (tiny x and y)
+        f22 = x * (x / y) + y
+    return (1.0 / y, x / y, f22)
 
 
 def _q_form_dx(tau: TorusPoint) -> tuple[float, float, float]:

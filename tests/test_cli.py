@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,13 @@ class TestDistTeich:
     def test_invalid_point_exits_2(self, capsys):
         assert main(["dist-teich", "--from", "i", "--to=-2i"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("src, dst", [("i", "1e300i"), ("1e-300i", "i")])
+    def test_extreme_moduli_exit_0_with_a_finite_distance(self, capsys, src, dst):
+        assert main(["dist-teich", "--from", src, "--to", dst]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["distance"] == pytest.approx(0.5 * math.log(1e300), rel=1e-15)
+        assert payload["engine"]["certified"] is True
 
     def test_stdout_when_no_output_path(self, capsys):
         assert main(["dist-teich", "--from", "i", "--to", "2i"]) == 0
@@ -95,6 +103,16 @@ class TestDistThurston:
         assert json.loads(out)["engine"]["evals"] == 200_000
         assert err.splitlines() == [
             "note: max_evals stopped the sweep at depth 17 of 30 after 200000 of 3221225472 "
+            "evaluations"
+        ]
+
+    def test_note_for_a_huge_max_depth_gives_the_count_as_a_power(self, capsys):
+        # 3 * 2**20000 has more digits than int-to-str conversion allows
+        assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--max-depth", "20000"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["engine"]["max_depth"] == 20000
+        assert err.splitlines() == [
+            "note: max_evals stopped the sweep at depth 17 of 20000 after 200000 of 3*2^20000 "
             "evaluations"
         ]
 
@@ -220,6 +238,12 @@ class TestExperiments:
         err = capsys.readouterr().err
         assert err.startswith("error: --ks 400:") and "exceed" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        # list options are split by the runners, so bad items exit 2 as well
+        for command, base in (("converge-boundary", "3,3,3"), ("converge-gm", "i")):
+            for bad in (["--ks", "x"], ["--slopes", "0/1,1"], ["--slopes", "0/1,1/x"]):
+                assert main([command, "--base", base, *bad, "--max-depth", "6"]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1
 
     def test_converge_gm_csv(self, tmp_path):
         code, path = run_to_file(
@@ -250,6 +274,21 @@ class TestArgumentHandling:
     def test_bad_tol_exits_2(self):
         assert main(["dist-teich", "--from", "i", "--to", "2i", "--tol", "-1"]) == 2
 
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual-sphere", "--at", "1e-300i", "--samples", "16"],
+            ["converge-gm", "--base", "1e300i"],
+            ["gardiner-check", "--at", "1e-300i", "--samples", "5"],
+        ],
+        ids=["dual-sphere", "converge-gm", "gardiner-check"],
+    )
+    def test_numeric_fault_exits_1_with_one_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: numeric fault (") and err.count("\n") == 1
 
     def test_parser_is_built_once_and_keeps_no_state(self, capsys):
         # one parser serves every call; options of one call must not leak
@@ -312,3 +351,20 @@ class TestModuleEntryPoints:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+
+def readme_cli_examples():
+    """Each ``torusmetrics ...`` command of the README's CLI block, as argv."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in commands if line.startswith("torusmetrics ")]
+
+
+class TestReadme:
+    def test_every_cli_example_exits_0(self, capsys):
+        examples = readme_cli_examples()
+        assert len(examples) == 9
+        for argv in examples:
+            assert main(argv) == 0, argv
+            capsys.readouterr()

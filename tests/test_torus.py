@@ -331,6 +331,17 @@ class TestDistanceEnum:
         assert res.value == 1.0
         assert 0.5 * math.log(res.value) == 0.0
 
+    @pytest.mark.parametrize(
+        "t1, t2", [((0.0, 1.0), (0.0, 1e300)), ((0.0, 1e-300), (0.0, 1.0))], ids=["huge-y", "tiny-y"]
+    )
+    def test_extreme_moduli_certify_a_finite_distance(self, t1, t2):
+        # x^2 + y^2 overflows at y = 1e300 and underflows to 0 at y = 1e-300
+        res = teich_distance_enum(TorusPoint(*t1), TorusPoint(*t2))
+        assert res.certified
+        assert res.evals == 4
+        assert res.argmax == Slope(0, 1)
+        assert 0.5 * math.log(res.value) == pytest.approx(0.5 * math.log(1e300), rel=1e-15)
+
     def test_certified_runs_are_deterministic(self):
         t1, t2 = TorusPoint(0.4, 0.8), TorusPoint(-0.3, 2.1)
         assert teich_distance_enum(t1, t2) == teich_distance_enum(t1, t2)
