@@ -329,14 +329,6 @@ def d_length(point: MarkovPoint, lam: WeightedLamination) -> PTCovector:
 
 # -- Thurston distance and norm ----------------------------------------------
 
-def _collar_width(lt: float) -> float:
-    """Embedded-collar width 2*arcsinh(1/sinh(length/2)) from log(trace)."""
-    if lt < 300.0:
-        t = math.exp(lt)
-        return 2.0 * math.asinh(2.0 / math.sqrt(t * t - 4.0))
-    return 4.0 * math.exp(-lt)
-
-
 def _subtree_ratio_bound(left: tuple, right: tuple, opp: tuple) -> float:
     """Upper bound for sup of ell_Y/ell_X over the interior of a Farey cell.
 
@@ -346,34 +338,32 @@ def _subtree_ratio_bound(left: tuple, right: tuple, opp: tuple) -> float:
     Every interior slope is mu*a + nu*b with integer mu, nu >= 1 in the
     endpoint curves a, b.  The numerator uses length subadditivity over
     mediants (cosh((la+lb)/2) >= (ta/2)(tb/2) >= tm/2), so
-    ell_Y(s) <= mu*ell_Y(a) + nu*ell_Y(b) exactly.  The denominator takes
-    the better of two lower bounds: the vertex recursion gives
-    t_s >= (1-g)^(mu+nu-1) * t_a^mu * t_b^nu with g = t_opp/(t_a t_b),
-    which only shrinks down the subtree; and the collar crossing bound
-    ell_X(s) >= i(s, gamma)*width(gamma) for gamma in {a, b}.  Both yield
-    affine-fractional programs over the (mu, nu) cone whose suprema sit at
-    the corner (1, 1) or on the two rays, so the bound is exact for its
-    inputs and tightens as cells shrink.
+    ell_Y(s) <= mu*ell_Y(a) + nu*ell_Y(b) exactly.  For the denominator the
+    vertex recursion gives log t_s >= A(mu, nu) = mu*log t_a + nu*log t_b
+    + (mu+nu-1)*log(1-g) with g = t_opp/(t_a t_b), which only shrinks down
+    the subtree; A is least at (1, 1), where it is L_m = log t_mediant.
+    The length is 2*arccosh(t/2) = 2*log t - 2*delta(log t) with delta
+    decreasing, so ell_X(s) >= 2*A(mu, nu) - 2*delta(L_m): the floor is
+    exact at the mediant, and the deficit delta(L) ~ exp(-2L) vanishes on
+    long curves.  Both sides give an affine-fractional program over the
+    (mu, nu) cone whose supremum sits at the corner (1, 1) or on the two
+    rays, so the bound is exact for its inputs and tightens as cells shrink.
     """
     lta, ltb = left[0], right[0]
-    na = _ell_from_log(left[1])
-    nb = _ell_from_log(right[1])
     g = math.exp(opp[0] - lta - ltb)
     decay = math.log1p(-g)
     la = 2.0 * (lta + decay)
     lb = 2.0 * (ltb + decay)
-    c0 = 2.0 * (_LOG2 + decay)
-    product_route = math.inf
-    corner = la + lb - c0  # equals 2*log(t_mediant/2) > 0
-    if la > 0.0 and lb > 0.0 and corner > 0.0:
-        product_route = max((na + nb) / corner, na / la, nb / lb)
-    wa = _collar_width(lta)
-    wb = _collar_width(ltb)
-    if wa > 0.0 and wb > 0.0:  # widths underflow for very long curves
-        collar_route = na / wb + nb / wa
-    else:
-        collar_route = math.inf
-    return min(product_route, collar_route)
+    lm = lta + ltb + decay
+    if not (la > 0.0 and lb > 0.0 and lm > _LOG2):
+        return math.inf
+    # delta(L) = -log((1 + sqrt(1 - 4 e^-2L)) / 2), without cancellation
+    e = math.exp(-2.0 * lm)
+    delta = -math.log1p(-2.0 * e / (1.0 + math.sqrt(1.0 - 4.0 * e)))
+    corner = la + lb - 2.0 * (delta + decay)  # equals ell_X at the mediant
+    na = _ell_from_log(left[1])
+    nb = _ell_from_log(right[1])
+    return max((na + nb) / corner, na / la, nb / lb)
 
 
 def _pair_step(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:

@@ -306,6 +306,74 @@ class TestThurstonDistance:
         assert res.value <= brute + 1e-9
         assert brute <= res.value + tol
 
+    @pytest.mark.parametrize("lo, hi", [(2.05, 3.5), (3.0, 6.0), (3.0, 9.0)])
+    def test_certified_bound_is_sound_deep_along_rays(self, lo, hi):
+        # on a ray of cells that keep one endpoint the bound closes slowest;
+        # check cells up to 401 levels deep on every ray out of the roots'
+        # children (toward 0/1, 1/0 and +-1/1) against their interiors
+        def mediant(a, b, c):  # (log t_X, log t_Y) by t_m = t_a t_b - t_c
+            return tuple(la + lb + math.log1p(-math.exp(lc - la - lb)) for la, lb, lc in zip(a, b, c))
+
+        def ell(lt):
+            return 2.0 * math.acosh(0.5 * math.exp(lt)) if lt < 30.0 else 2.0 * (
+                lt - math.log(2.0) + math.log1p(math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))))
+
+        def ratio(state):
+            return ell(state[1]) / ell(state[0])
+
+        def child(cell, go_right):
+            left, right, opp = cell
+            mid = mediant(left, right, opp)
+            return (mid, right, left) if go_right else (left, mid, right)
+
+        def interior_max(cell, levels):
+            best, frontier = -math.inf, [cell]
+            for _ in range(levels):
+                best = max(best, *(ratio(mediant(*c)) for c in frontier))
+                frontier = [child(c, side) for c in frontier for side in (False, True)]
+            return best
+
+        def ray_max(cell, go_right, steps):
+            best = -math.inf
+            for _ in range(steps):
+                best = max(best, ratio(mediant(*cell)))
+                cell = child(cell, go_right)
+            return best
+
+        def chart_point(rng):  # rejection sampling: [2.05, 3.5]^2 is partly out of chart
+            while True:
+                try:
+                    return random_chart_point(rng, lo, hi)
+                except OutOfChartError:
+                    pass
+
+        rng = random.Random(f"deep rays {lo} {hi}")
+        for _ in range(3):
+            src, dst = chart_point(rng), chart_point(rng)
+            s0, s_inf, s1 = ((math.log(a), math.log(b)) for a, b in
+                             ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z)))
+            s_neg = mediant(s_inf, s0, s1)
+            for root in ((s0, s_inf, s_neg), (s0, s_inf, s1)):
+                for first in (False, True):
+                    for go_right in (False, True):
+                        cell = child(root, first)
+                        depth = 0
+                        for k in (20, 100, 400):
+                            for _ in range(k - depth):
+                                cell = child(cell, go_right)
+                            depth = k
+                            bound = _subtree_ratio_bound(*cell)
+                            assert bound >= interior_max(cell, 10)
+                            assert bound >= ray_max(cell, go_right, 600)
+
+    @pytest.mark.parametrize("tol, max_evals", [(1e-6, 50), (1e-9, 100)])
+    def test_documented_pair_certifies_tight_in_few_evals(self, tol, max_evals):
+        res = thurston_distance(MODULAR, MIRROR, tol=tol, max_depth=2000, certified_bound=True)
+        assert res.certified
+        assert res.evals <= max_evals
+        assert res.argmax == Slope(1, 1)
+        assert res.value == pytest.approx(math.acosh(3.0) / math.acosh(1.5), rel=1e-12)
+
 
 class TestThurstonNorm:
     def test_zero_vector(self):
