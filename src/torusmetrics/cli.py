@@ -49,10 +49,20 @@ def _note_cut_sweep(res: SupRatioResult, args: argparse.Namespace) -> None:
         )
 
 
+def _note_uncertified(res: SupRatioResult, args: argparse.Namespace) -> None:
+    """Say on stderr why a certified search stopped short of the tolerance."""
+    if not res.certified:
+        reason = (f"eval cap after {res.evals} evaluations" if res.stop_reason == "eval_cap"
+                  else f"depth cap at {args.max_depth}")
+        print(f"note: not certified at tol {args.tol!r}: {reason}, gap frontier_bound - value"
+              f" = {res.frontier_bound - res.value!r}", file=sys.stderr)
+
+
 def _run_dist_teich(args: argparse.Namespace):
     src = torus.TorusPoint.parse(args.src)
     dst = torus.TorusPoint.parse(args.dst)
     res = torus.teich_distance_enum(src, dst, tol=args.tol, max_depth=args.max_depth)
+    _note_uncertified(res, args)
     out = {
         "command": args.command,
         "from": str(src),
@@ -70,7 +80,9 @@ def _run_dist_thurston(args: argparse.Namespace):
         src, dst, tol=args.tol, max_depth=args.max_depth,
         certified_bound=args.certified_bound,
     )
-    if not args.certified_bound:
+    if args.certified_bound:
+        _note_uncertified(res, args)
+    else:
         _note_cut_sweep(res, args)
     out = {
         "command": args.command,
@@ -296,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True, metavar="X,Y,Z")
     p.add_argument("--to", dest="dst", required=True, metavar="X,Y,Z")
     p.add_argument("--certified-bound", action="store_true",
-                   help="prune with the collar subtree bound (coarse tolerances only)")
+                   help="prune a best-first search with a sound subtree bound, "
+                        "so the result can be certified")
     common(p, _run_dist_thurston, 12)
 
     p = sub.add_parser("norm-teich", help="Teichmuller Finsler norm of a tangent vector")

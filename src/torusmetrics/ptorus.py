@@ -419,9 +419,10 @@ def thurston_distance(
 
     By default the engine sweeps the tree exhaustively to ``max_depth`` and
     reports certified = False with the empirical stabilization depth.  With
-    ``certified_bound`` the collar/submultiplicativity subtree bound is
-    used for best-first pruning; it certifies at coarse tolerances
-    (roughly >= 1e-3) at practical cost.
+    ``certified_bound`` a best-first search pruned by _subtree_ratio_bound
+    certifies tight tolerances, except that cells on a ray toward +-1/1
+    close only like 1/depth, so an argmax there can stop uncertified at
+    ``max_depth``.
     """
     pairs = ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z))  # at 0/1, 1/0, 1/1
     roots = tuple((math.log(tx), math.log(ty)) for tx, ty in pairs)

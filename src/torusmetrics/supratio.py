@@ -77,7 +77,8 @@ class SupRatioResult:
     """The supremum found, with how it was obtained.
 
     ``depth_reached`` is the deepest tree depth at which a slope was
-    evaluated; it stays out of the JSON payload.
+    evaluated; ``stop_reason`` is "converged", "depth_cap", "eval_cap" or
+    "exhaustive" (the uncertified sweep).  Both stay out of the JSON payload.
     """
 
     value: float
@@ -87,6 +88,7 @@ class SupRatioResult:
     evals: int
     stabilization_depth: int
     depth_reached: int
+    stop_reason: str
 
     def to_json_dict(self) -> dict:
         fb = self.frontier_bound
@@ -166,7 +168,7 @@ class _Search:
             self.best_value = v = float(v)
             self.best_key = (-v, depth, slope.p, slope.q)
 
-    def result(self, certified: bool, frontier_bound: Optional[float]) -> SupRatioResult:
+    def result(self, certified: bool, frontier_bound: Optional[float], stop_reason: str):
         assert self.best_key is not None
         running = -math.inf
         stab = 0
@@ -184,6 +186,7 @@ class _Search:
             evals=self.evals,
             stabilization_depth=stab,
             depth_reached=max(self.depth_max),
+            stop_reason=stop_reason,
         )
 
 
@@ -223,7 +226,7 @@ def _maximize_exhaustive(search: _Search) -> SupRatioResult:
         search.evaluate(p, q, depth, state)
     for depth, blocks in tiers:
         search.evaluate_tier(depth, blocks)
-    return search.result(certified=False, frontier_bound=None)
+    return search.result(certified=False, frontier_bound=None, stop_reason="exhaustive")
 
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
@@ -266,4 +269,5 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     outstanding = max(frontier_top, truncated)
     certified = not hit_eval_cap and outstanding <= search.best_value + query.tolerance
     frontier_bound = outstanding if math.isfinite(outstanding) else search.best_value
-    return search.result(certified=certified, frontier_bound=frontier_bound)
+    stop_reason = "eval_cap" if hit_eval_cap else "converged" if certified else "depth_cap"
+    return search.result(certified, frontier_bound, stop_reason)

@@ -19,6 +19,7 @@ c = -(p + q*conj(tau))^2 / y^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
@@ -252,7 +253,12 @@ def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
     """
     dx = tau2.x - tau1.x
     dy = tau2.y - tau1.y
-    return 0.5 * math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * tau1.y * tau2.y))
+    den = 2.0 * tau1.y * tau2.y
+    arg = 1.0 + (dx * dx + dy * dy) / den if den else math.inf
+    if arg < math.inf:
+        return 0.5 * math.acosh(arg)
+    # dy^2 overflowed or y1*y2 underflowed to 0: acosh(1 + 2s^2) = 2 asinh(s)
+    return math.asinh(math.hypot(dx, dy) / (2.0 * math.sqrt(tau1.y) * math.sqrt(tau2.y)))
 
 
 def teich_distance_enum(
@@ -319,6 +325,23 @@ def dual_sphere_with_directions(
     """
     if n < 16:
         raise ValueError("need at least 16 samples to resolve the dual sphere")
+    x, y = tau.x, tau.y
+    y2 = y * y
+    if not (sys.float_info.min <= y2 < math.inf and x * x / y2 < math.inf):
+        # the forms at tau leave the float range: under the isometry
+        # tau -> (tau - x)/y, direction u at tau becomes (u0 + u1*x, u1*y)
+        # at i, up to scale, and dExt/Ext picks up a factor 1/y
+        if 1.0 / y == math.inf:
+            raise OverflowError(f"dual-sphere covectors of size 1/y overflow at y = {y!r}")
+        out = []
+        for j in range(n):
+            theta = math.pi * j / n
+            c, s = math.cos(theta), math.sin(theta)
+            a, b = c + s * x, s * y
+            r = math.hypot(a, b)
+            a, b = a / r, b / r
+            out.append((theta, Covector(2.0 * a * b / y, (b - a) * (b + a) / y)))
+        return out
     q = _q_form(tau)
     dx, dy = _q_form_dx(tau), _q_form_dy(tau)
     out = []

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -7,9 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torusmetrics
-from torusmetrics import cli
+from torusmetrics import cli, torus
 from torusmetrics.cli import main
 
 from _oracles import polygon_is_convex_with_origin
@@ -52,6 +56,32 @@ class TestDistTeich:
         assert main(["dist-teich", "--from", "i", "--to", "2i"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "dist-teich"
+
+    def test_depth_cap_is_noted_on_stderr(self, capsys):
+        # the argmax sits on the ray -n/1, where the cone bound closes like 1/depth
+        assert main(["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i",
+                     "--max-depth", "20"]) == 0
+        out, err = capsys.readouterr()
+        engine = json.loads(out)["engine"]
+        assert engine["certified"] is False
+        gap = engine["frontier_bound"] - engine["value"]
+        assert err.splitlines() == [
+            f"note: not certified at tol 1e-06: depth cap at 20, gap frontier_bound - value = {gap!r}"
+        ]
+
+    def test_eval_cap_is_noted_on_stderr(self, capsys, monkeypatch):
+        args = ["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i"]
+        capped = functools.partial(torus.teich_distance_enum, max_evals=20)
+        monkeypatch.setattr(torus, "teich_distance_enum", capped)
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        engine = json.loads(out)["engine"]
+        assert engine["evals"] == 20
+        gap = engine["frontier_bound"] - engine["value"]
+        assert err.splitlines() == [
+            f"note: not certified at tol 1e-06: eval cap after 20 evaluations, "
+            f"gap frontier_bound - value = {gap!r}"
+        ]
 
 
 class TestDistThurston:
@@ -126,6 +156,22 @@ class TestDistThurston:
     def test_out_of_chart_exits_2(self):
         assert main(["dist-thurston", "--from", "chart:2.5,2.5", "--to", "3,3,6"]) == 2
 
+    def test_uncertified_search_notes_the_depth_cap_and_keeps_stdout(self, capsys):
+        args = ["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--certified-bound",
+                "--tol", "1e-9", "--max-depth", "5"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        engine = json.loads(out)["engine"]
+        assert engine["certified"] is False
+        gap = engine["frontier_bound"] - engine["value"]
+        assert err.splitlines() == [
+            f"note: not certified at tol 1e-09: depth cap at 5, gap frontier_bound - value = {gap!r}"
+        ]
+        assert main(args + ["--require-certified"]) == 3
+        out3, err3 = capsys.readouterr()
+        assert out3 == out
+        assert err3.splitlines()[0] == err.splitlines()[0]
+
 
 class TestNorms:
     def test_norm_teich_oracle_value(self, tmp_path):
@@ -182,6 +228,21 @@ class TestDualSphere:
     def test_too_few_samples_rejected(self, capsys):
         assert main(["dual-sphere", "--at", "i", "--samples", "4"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at", ["1e-300i", "1e300i", "1e300+1i"])
+    def test_extreme_moduli_exit_0_with_the_exact_covectors(self, capsys, at):
+        assert main(["dual-sphere", "--at", at, "--samples", "64"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        tau = complex(at.replace("i", "j"))
+        x, y = tau.real, tau.imag
+        for point in points:
+            # at x + iy, dExt/Ext of direction theta is (sin 2phi, -cos 2phi)/y
+            # with phi the argument of cos(theta) + sin(theta)*tau
+            c, s = math.cos(point["angle"]), math.sin(point["angle"])
+            phi = math.atan2(s * y, c + s * x)
+            assert math.isfinite(point["gx"]) and math.isfinite(point["gy"])
+            assert abs(point["gx"] - math.sin(2 * phi) / y) <= 1e-12 / y
+            assert abs(point["gy"] + math.cos(2 * phi) / y) <= 1e-12 / y
 
 
 class TestExperiments:
@@ -278,11 +339,10 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["dual-sphere", "--at", "1e-300i", "--samples", "16"],
             ["converge-gm", "--base", "1e300i"],
             ["gardiner-check", "--at", "1e-300i", "--samples", "5"],
         ],
-        ids=["dual-sphere", "converge-gm", "gardiner-check"],
+        ids=["converge-gm", "gardiner-check"],
     )
     def test_numeric_fault_exits_1_with_one_error_line(self, capsys, argv):
         assert main(argv) == 1
@@ -368,3 +428,39 @@ class TestReadme:
         for argv in examples:
             assert main(argv) == 0, argv
             capsys.readouterr()
+
+
+# one argument slot per parsed point; the other arguments are valid and cheap
+POINT_SLOTS = {
+    "dist-teich --from": (["dist-teich", "--to=i"], "--from"),
+    "dist-teich --to": (["dist-teich", "--from=i"], "--to"),
+    "dist-thurston --from": (["dist-thurston", "--to=3,3,6", "--max-depth", "3"], "--from"),
+    "dist-thurston --to": (["dist-thurston", "--from=3,3,3", "--max-depth", "3"], "--to"),
+    "dual-sphere --at": (["dual-sphere", "--samples", "16"], "--at"),
+}
+
+_numbers = st.floats() | st.integers(-10, 10) | st.sampled_from(["1e300", "1e-300", "-0", "inf"])
+POINT_TEXT = (
+    st.text(max_size=30)
+    | st.builds("{}+{}i".format, _numbers, _numbers)
+    | st.builds("{}i".format, _numbers)
+    | st.builds("{},{},{}".format, _numbers, _numbers, _numbers)
+    | st.builds("chart:{},{}".format, _numbers, _numbers)
+)
+
+
+class TestPointParsingFuzz:
+    @pytest.mark.parametrize("slot", sorted(POINT_SLOTS))
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(text=POINT_TEXT)
+    def test_any_point_text_exits_0_1_or_2_without_a_traceback(self, slot, text):
+        argv, flag = POINT_SLOTS[slot]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, f"{flag}={text}"])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 0:  # a finite answer: no NaN or Infinity in the JSON
+            json.loads(out.getvalue(), parse_constant=pytest.fail)

@@ -342,6 +342,20 @@ class TestDistanceEnum:
         assert res.argmax == Slope(0, 1)
         assert 0.5 * math.log(res.value) == pytest.approx(0.5 * math.log(1e300), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "t1, t2, expected",
+        [((0.0, 1.0), (0.0, 1e300), 0.5 * math.log(1e300)),
+         ((0.0, 1e-300), (0.0, 1.0), 0.5 * math.log(1e300)),
+         ((0.0, 1e-200), (0.0, 2e-200), 0.5 * math.log(2.0))],
+        ids=["huge-y", "tiny-y", "tiny-y1y2"],
+    )
+    def test_oracle_stays_finite_at_extreme_moduli(self, t1, t2, expected):
+        # dy^2 overflows, or y1*y2 underflows to 0, inside the acosh argument
+        d = teich_distance_oracle(TorusPoint(*t1), TorusPoint(*t2))
+        assert d == pytest.approx(expected, rel=1e-12)
+        res = teich_distance_enum(TorusPoint(*t1), TorusPoint(*t2))
+        assert d == pytest.approx(0.5 * math.log(res.value), rel=1e-12)
+
     def test_certified_runs_are_deterministic(self):
         t1, t2 = TorusPoint(0.4, 0.8), TorusPoint(-0.3, 2.1)
         assert teich_distance_enum(t1, t2) == teich_distance_enum(t1, t2)
