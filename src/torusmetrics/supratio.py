@@ -77,8 +77,8 @@ class SupRatioResult:
     """The supremum found, with how it was obtained.
 
     ``depth_reached`` is the deepest tree depth at which a slope was
-    evaluated; ``stop_reason`` is "converged", "depth_cap", "eval_cap" or
-    "exhaustive" (the uncertified sweep).  Both stay out of the JSON payload.
+    evaluated; ``hit_eval_cap`` says a certified search stopped at max_evals.
+    Both stay out of the JSON payload.
     """
 
     value: float
@@ -88,7 +88,7 @@ class SupRatioResult:
     evals: int
     stabilization_depth: int
     depth_reached: int
-    stop_reason: str
+    hit_eval_cap: bool
 
     def to_json_dict(self) -> dict:
         fb = self.frontier_bound
@@ -168,7 +168,8 @@ class _Search:
             self.best_value = v = float(v)
             self.best_key = (-v, depth, slope.p, slope.q)
 
-    def result(self, certified: bool, frontier_bound: Optional[float], stop_reason: str):
+    def result(self, certified: bool, frontier_bound: Optional[float],
+               hit_eval_cap: bool = False) -> SupRatioResult:
         assert self.best_key is not None
         running = -math.inf
         stab = 0
@@ -186,7 +187,7 @@ class _Search:
             evals=self.evals,
             stabilization_depth=stab,
             depth_reached=max(self.depth_max),
-            stop_reason=stop_reason,
+            hit_eval_cap=hit_eval_cap,
         )
 
 
@@ -226,7 +227,7 @@ def _maximize_exhaustive(search: _Search) -> SupRatioResult:
         search.evaluate(p, q, depth, state)
     for depth, blocks in tiers:
         search.evaluate_tier(depth, blocks)
-    return search.result(certified=False, frontier_bound=None, stop_reason="exhaustive")
+    return search.result(certified=False, frontier_bound=None)
 
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
@@ -269,5 +270,4 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     outstanding = max(frontier_top, truncated)
     certified = not hit_eval_cap and outstanding <= search.best_value + query.tolerance
     frontier_bound = outstanding if math.isfinite(outstanding) else search.best_value
-    stop_reason = "eval_cap" if hit_eval_cap else "converged" if certified else "depth_cap"
-    return search.result(certified, frontier_bound, stop_reason)
+    return search.result(certified, frontier_bound, hit_eval_cap)

@@ -19,7 +19,6 @@ c = -(p + q*conj(tau))^2 / y^2.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
@@ -181,15 +180,6 @@ def _q_form(tau: TorusPoint) -> tuple[float, float, float]:
     return (1.0 / y, x / y, f22)
 
 
-def _q_form_dx(tau: TorusPoint) -> tuple[float, float, float]:
-    return (0.0, 1.0 / tau.y, 2.0 * tau.x / tau.y)
-
-
-def _q_form_dy(tau: TorusPoint) -> tuple[float, float, float]:
-    y2 = tau.y * tau.y
-    return (-1.0 / y2, -tau.x / y2, 1.0 - tau.x * tau.x / y2)
-
-
 def _apply_form(f: tuple[float, float, float], u: tuple[float, float]) -> float:
     return f[0] * u[0] * u[0] + 2.0 * f[1] * u[0] * u[1] + f[2] * u[1] * u[1]
 
@@ -248,17 +238,13 @@ def _cone_ratio_max(
 def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
     """Exact model distance: half the hyperbolic half-plane distance.
 
+    Written as asinh(|dz|/(2 sqrt(y1 y2))), which neither overflows at
+    extreme moduli nor cancels near the diagonal as acosh(1 + ...) does.
     Also equals half the log of the largest generalized eigenvalue of the
     two extremal-length forms; tests cross-check the two routes.
     """
-    dx = tau2.x - tau1.x
-    dy = tau2.y - tau1.y
-    den = 2.0 * tau1.y * tau2.y
-    arg = 1.0 + (dx * dx + dy * dy) / den if den else math.inf
-    if arg < math.inf:
-        return 0.5 * math.acosh(arg)
-    # dy^2 overflowed or y1*y2 underflowed to 0: acosh(1 + 2s^2) = 2 asinh(s)
-    return math.asinh(math.hypot(dx, dy) / (2.0 * math.sqrt(tau1.y) * math.sqrt(tau2.y)))
+    dz = math.hypot(tau2.x - tau1.x, tau2.y - tau1.y)
+    return math.asinh(dz / (2.0 * math.sqrt(tau1.y) * math.sqrt(tau2.y)))
 
 
 def teich_distance_enum(
@@ -286,15 +272,6 @@ def teich_distance_enum(
 
 # -- the Finsler norm and its dual sphere ------------------------------------
 
-def _norm_forms(tau: TorusPoint, v: TangentVector):
-    dx, dy = _q_form_dx(tau), _q_form_dy(tau)
-    g = tuple(v.vx * dxi + v.vy * dyi for dxi, dyi in zip(dx, dy))
-    return g, _q_form(tau)
-
-
-_I = TorusPoint(0.0, 1.0)
-
-
 def teich_norm(tau: TorusPoint, v: TangentVector) -> float:
     """Finsler norm sup of d(Ext^1/2)(V)/Ext^1/2 over foliations.
 
@@ -309,8 +286,9 @@ def teich_norm(tau: TorusPoint, v: TangentVector) -> float:
     scale = max(abs(v.vx), abs(v.vy))
     if scale == 0.0:
         return 0.0
-    g, q = _norm_forms(_I, TangentVector(v.vx / scale, v.vy / scale))
-    return 0.5 * _max_gen_eig(g, q) * scale / tau.y
+    vx, vy = v.vx / scale, v.vy / scale
+    # at i, Ext is the form (1, 0, 1) and its derivative along V is (-vy, vx, vy)
+    return 0.5 * _max_gen_eig((-vy, vx, vy), (1.0, 0.0, 1.0)) * scale / tau.y
 
 
 def dual_sphere_with_directions(
@@ -326,30 +304,18 @@ def dual_sphere_with_directions(
     if n < 16:
         raise ValueError("need at least 16 samples to resolve the dual sphere")
     x, y = tau.x, tau.y
-    y2 = y * y
-    if not (sys.float_info.min <= y2 < math.inf and x * x / y2 < math.inf):
-        # the forms at tau leave the float range: under the isometry
-        # tau -> (tau - x)/y, direction u at tau becomes (u0 + u1*x, u1*y)
-        # at i, up to scale, and dExt/Ext picks up a factor 1/y
-        if 1.0 / y == math.inf:
-            raise OverflowError(f"dual-sphere covectors of size 1/y overflow at y = {y!r}")
-        out = []
-        for j in range(n):
-            theta = math.pi * j / n
-            c, s = math.cos(theta), math.sin(theta)
-            a, b = c + s * x, s * y
-            r = math.hypot(a, b)
-            a, b = a / r, b / r
-            out.append((theta, Covector(2.0 * a * b / y, (b - a) * (b + a) / y)))
-        return out
-    q = _q_form(tau)
-    dx, dy = _q_form_dx(tau), _q_form_dy(tau)
+    if 1.0 / y == math.inf:
+        raise OverflowError(f"dual-sphere covectors of size 1/y overflow at y = {y!r}")
+    # direction u at tau is (u0 + u1*x, u1*y) at i under tau -> (tau - x)/y; there
+    # dExt/Ext of the unit direction (a, b) is (2ab, b^2 - a^2), here that over y
     out = []
     for j in range(n):
         theta = math.pi * j / n
-        u = (math.cos(theta), math.sin(theta))
-        scale = _apply_form(q, u)  # Ext of the unit-weight direction
-        out.append((theta, Covector(_apply_form(dx, u) / scale, _apply_form(dy, u) / scale)))
+        c, s = math.cos(theta), math.sin(theta)
+        a, b = c + s * x, s * y
+        r = math.hypot(a, b)
+        a, b = a / r, b / r
+        out.append((theta, Covector(2.0 * a * b / y, (b - a) * (b + a) / y)))
     return out
 
 

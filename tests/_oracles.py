@@ -22,7 +22,7 @@ from torusmetrics.torus import (
     _apply_form,
     _cone_ratio_max,
     _max_gen_eig,
-    _norm_forms,
+    _q_form,
 )
 
 LOG2 = math.log(2.0)
@@ -249,6 +249,19 @@ def polygon_is_convex_with_origin(points) -> bool:
 
 # -- the flat-torus norm by the Farey engine --------------------------------
 
+def norm_forms(tau: TorusPoint, v: TangentVector):
+    """(dExt along v, Ext) as forms in (p, q), differentiated at tau itself.
+
+    The library works at the normalised point i instead; Ext at x + iy is
+    (1/y, x/y, (x^2 + y^2)/y), differentiated here term by term.
+    """
+    x, y = tau.x, tau.y
+    dx = (0.0, 1.0 / y, 2.0 * x / y)
+    dy = (-1.0 / (y * y), -x / (y * y), 1.0 - x * x / (y * y))
+    g = tuple(v.vx * dxi + v.vy * dyi for dxi, dyi in zip(dx, dy))
+    return g, _q_form(tau)
+
+
 def teich_norm_sup_parts(
     tau: TorusPoint,
     v: TangentVector,
@@ -257,7 +270,7 @@ def teich_norm_sup_parts(
     max_evals: int,
 ) -> tuple[float, SupRatioResult]:
     """(closed-form circle max at tau, certified Farey sup) of dExt/(2 Ext)."""
-    g, q = _norm_forms(tau, v)
+    g, q = norm_forms(tau, v)
     circle = 0.5 * _max_gen_eig(g, q)
     # The engine wants finite objectives and works with an absolute
     # tolerance; shift the sign-indefinite ratio into positive territory.

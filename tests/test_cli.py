@@ -231,8 +231,9 @@ class TestDualSphere:
         assert main(["dual-sphere", "--at", "i", "--samples", "4"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("at", ["1e-300i", "1e300i", "1e300+1i"])
+    @pytest.mark.parametrize("at", ["1e-300i", "1e300i", "1e300+1i", "2+1.6e-154i"])
     def test_extreme_moduli_exit_0_with_the_exact_covectors(self, capsys, at):
+        # the closed form below is checked against the differentiated form in test_torus
         assert main(["dual-sphere", "--at", at, "--samples", "64"]) == 0
         points = json.loads(capsys.readouterr().out)["points"]
         tau = complex(at.replace("i", "j"))

@@ -11,6 +11,7 @@ from torusmetrics.torus import (
     TangentVector,
     TorusPoint,
     WeightedFoliation,
+    _apply_form,
     d_extremal,
     dual_sphere,
     dual_sphere_with_directions,
@@ -25,6 +26,7 @@ from torusmetrics.torus import (
 
 from _oracles import (
     central_diff,
+    norm_forms,
     polygon_is_convex_with_origin,
     teich_norm_sup_parts,
     torus_bruteforce_sup,
@@ -515,6 +517,19 @@ class TestDualSphere:
             pts = [(g.gx, g.gy) for g in dual_sphere(tau, 256)]
             hull = ConvexHull(pts)
             assert len(hull.vertices) == 256
+
+    def test_covectors_are_dext_over_ext_differentiated_at_tau(self):
+        # the library maps each direction to i; here the form is differentiated at tau
+        rng = random.Random(97)
+        for _ in range(6):
+            tau = random_point(rng, ymin=0.05, ymax=20.0)
+            dx, q = norm_forms(tau, TangentVector(1.0, 0.0))
+            dy, _ = norm_forms(tau, TangentVector(0.0, 1.0))
+            for theta, g in dual_sphere_with_directions(tau, 64):
+                u = (math.cos(theta), math.sin(theta))
+                ext = _apply_form(q, u)
+                assert abs(g.gx - _apply_form(dx, u) / ext) <= 1e-12 / tau.y
+                assert abs(g.gy - _apply_form(dy, u) / ext) <= 1e-12 / tau.y
 
     def test_directions_cover_projective_circle_once(self):
         angles = [theta for theta, _ in dual_sphere_with_directions(I, 32)]
