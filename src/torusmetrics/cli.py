@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist-teich", help="Teichmuller distance between torus points")
     p.add_argument("--from", dest="src", required=True, metavar="X+YI")
     p.add_argument("--to", dest="dst", required=True, metavar="X+YI")
-    common(p, _run_dist_teich, 256)
+    common(p, _run_dist_teich, 10**6)
 
     p = sub.add_parser("dist-thurston", help="directed Thurston distance between Markov points")
     p.add_argument("--from", dest="src", required=True, metavar="X,Y,Z")

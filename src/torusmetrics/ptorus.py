@@ -80,7 +80,7 @@ class MarkovPoint:
                     f"trace {name} = {t} is not above 2; the structure degenerates"
                 )
         res = self.residual
-        if res > 1e-9:
+        if not res <= 1e-9:  # NaN where x^2 + y^2 + z^2 and xyz both overflow
             raise InvalidPointError(
                 f"triple ({self.x}, {self.y}, {self.z}) misses the trace relation "
                 f"(relative residual {res:.3e})"

@@ -13,6 +13,13 @@ goes one tier (one depth) at a time (see farey.sweep): one combine and one
 objective call per slope over flat lists, and the argmax is resolved only
 on tiers whose maximum beats the best value so far.
 
+A query may also give a ``ray`` hook.  Each cell's subtree is then read as
+the ray of slopes base + j*axis out of its older endpoint (the axis) plus
+the cells that hang off the ray, and one pop evaluates the ray slope the
+hook picks, however far down, instead of the mediant.  What the jump skips
+is kept as a fan (see farey.jump), so it stays under a bound; the hook only
+steers the search, and soundness rests on the subtree bound alone.
+
 Results are a pure function of the query: evaluation order never changes
 the reported value or argmax (ties are broken by depth, then slope), so
 objective evaluations could be farmed out concurrently without changing
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .farey import (
-    SLOPE_ROOTS, Slope, add_slopes, mediant_state, root_cells, split, sweep, tier_slope,
+    SLOPE_ROOTS, Slope, add_slopes, jump, mediant_state, root_cells, split, sweep, tier_slope,
 )
 
 __all__ = ["SupQuery", "SupRatioResult", "maximize"]
@@ -49,6 +56,15 @@ class SupQuery:
     strictly inside the cell whenever it is supplied; pass None to run in
     the uncertified exhaustive mode.  ``tolerance`` is absolute, on the
     supremum value.
+
+    ``ray(s_base, s_axis, s_prev, jmax)`` is optional and needs a bound.  It
+    picks the best slope base + j*axis, 1 <= j <= jmax, on a region's ray,
+    where s_prev is the state at base - axis, and returns (j, state at
+    base + j*axis, state at base + (j-1)*axis).  The search then also
+    bounds fans, the cones between base and base + n*axis with n >= 2
+    steps: ``subtree_bound(s_base, s_end, s_axis)`` must bound every slope
+    strictly inside that cone too.  A j that misses the best slope costs
+    evaluations, never soundness.
     """
 
     objective: Callable
@@ -58,6 +74,7 @@ class SupQuery:
     max_evals: int = 200_000
     roots: Optional[tuple] = None
     combine: Optional[Callable] = None
+    ray: Optional[Callable] = None
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -68,6 +85,8 @@ class SupQuery:
             raise ValueError("max_evals must allow at least the root evaluations")
         if (self.roots is not None) != (self.combine is not None):
             raise ValueError("roots and combine must be given together")
+        if self.ray is not None and self.subtree_bound is None:
+            raise ValueError("a ray hook needs a subtree bound")
         if self.roots is None:
             self.roots, self.combine = SLOPE_ROOTS, add_slopes
 
@@ -232,7 +251,7 @@ def _maximize_exhaustive(search: _Search) -> SupRatioResult:
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     query = search.query
-    bound, combine = query.subtree_bound, query.combine
+    bound, combine, ray = query.subtree_bound, query.combine, query.ray
 
     heap: list[tuple] = []
     # Upper bounds over regions that max_depth prevented us from opening.
@@ -240,20 +259,23 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     hit_eval_cap = False
     frontier_top = -math.inf
 
-    def push(cell: tuple) -> None:
+    def push(region: tuple) -> None:
+        # a cell (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp) keyed by
+        # its mediant, or a fan (bp, bq, ap, aq, depth, sign, s_base, s_end,
+        # s_axis, ...) keyed by its first ray slope base + axis
         nonlocal truncated
-        lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp = cell
+        lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp = region[:9]
         b = float(bound(s_left, s_right, s_opp))
         if depth > query.max_depth:
             truncated = max(truncated, b)
         else:
-            heapq.heappush(heap, (-b, depth, sign * (lp + rp), lq + rq, cell))
+            heapq.heappush(heap, (-b, depth, sign * (lp + rp), lq + rq, region))
 
     for cell in cells:
         push(cell)
 
     while heap:
-        neg_b, depth, p, q, cell = heapq.heappop(heap)
+        neg_b, depth, p, q, region = heapq.heappop(heap)
         b = -neg_b
         if b <= search.best_value + query.tolerance:
             frontier_top = b
@@ -262,9 +284,13 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
             frontier_top = b
             hit_eval_cap = True
             break
-        state = mediant_state(cell, combine)
+        if ray is None:
+            state = mediant_state(region, combine)
+            children = split(region, state)
+        else:
+            p, q, depth, state, children = jump(region, ray, query.max_depth)
         search.evaluate(p, q, depth, state)
-        for child in split(cell, state):
+        for child in children:
             push(child)
 
     outstanding = max(frontier_top, truncated)

@@ -19,6 +19,7 @@ c = -(p + q*conj(tau))^2 / y^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
@@ -193,26 +194,17 @@ def _max_gen_eig(a: tuple[float, float, float], b: tuple[float, float, float]) -
     return (c1 + math.sqrt(disc)) / (2.0 * c2)
 
 
-def _cone_ratio_max(
-    a: tuple[float, float, float],
-    b: tuple[float, float, float],
-    u: tuple[float, float],
-    v: tuple[float, float],
-) -> float:
-    """Exact max of (w A w)/(w B w) over the closed cone spanned by u, v.
+def _line_ratio(a, b, u, v) -> tuple[float, float, list[tuple[float, float]]]:
+    """The ratio (w A w)/(w B w) along w = u + s*v: at s = 0, at s = inf, and at
+    its finite real critical points, as (s, ratio) pairs.
 
-    Restricting to w = u + s*v, s in [0, inf], the ratio is a rational
-    function of s whose critical points solve a quadratic; the max over the
-    candidates {0, inf, positive roots} is exact.  Slopes strictly inside a
-    Stern-Brocot interval are positive integer combinations of the
-    endpoints, so this bounds the objective over the whole subtree.
+    The ratio is a quotient of two quadratics in s, so its derivative
+    vanishes on the roots of one quadratic.
     """
     auu, avv = _apply_form(a, u), _apply_form(a, v)
     buu, bvv = _apply_form(b, u), _apply_form(b, v)
     auv = a[0] * u[0] * v[0] + a[1] * (u[0] * v[1] + u[1] * v[0]) + a[2] * u[1] * v[1]
     buv = b[0] * u[0] * v[0] + b[1] * (u[0] * v[1] + u[1] * v[0]) + b[2] * u[1] * v[1]
-
-    best = max(auu / buu, avv / bvv)
     c2 = avv * buv - auv * bvv
     c1 = avv * buu - auu * bvv
     c0 = auv * buu - auu * buv
@@ -224,13 +216,61 @@ def _cone_ratio_max(
             roots.extend(((-c1 + r) / (2.0 * c2), (-c1 - r) / (2.0 * c2)))
     elif c1 != 0.0:
         roots.append(-c0 / c1)
+    critical = []
     for s in roots:
-        if s > 0.0 and math.isfinite(s):
+        if math.isfinite(s):
             num = auu + 2.0 * auv * s + avv * s * s
             den = buu + 2.0 * buv * s + bvv * s * s
             if den > 0.0:
-                best = max(best, num / den)
-    return best
+                critical.append((s, num / den))
+    return auu / buu, avv / bvv, critical
+
+
+def _cone_ratio_max(
+    a: tuple[float, float, float],
+    b: tuple[float, float, float],
+    u: tuple[float, float],
+    v: tuple[float, float],
+) -> float:
+    """Exact max of (w A w)/(w B w) over the closed cone spanned by u, v.
+
+    Restricting to w = u + s*v, s in [0, inf], the ratio is a rational
+    function of s whose critical points solve a quadratic; the max over the
+    candidates {0, inf, positive roots} is exact.  Slopes strictly inside a
+    Stern-Brocot interval, or a fan of one, are positive integer combinations
+    of its two sides, so this bounds the objective over the whole region.
+    """
+    at_u, at_v, critical = _line_ratio(a, b, u, v)
+    return max(at_u, at_v, *(value for s, value in critical if s > 0.0))
+
+
+def _ray_step(a, b, base: tuple[int, int], axis: tuple[int, int], jmax: int) -> int:
+    """The step j in [1, jmax] next to the peak of the ratio along base + s*axis.
+
+    The ratio of two forms has one peak over all directions; along the ray
+    it peaks at a critical point or at s = inf.  j is the better of the
+    integers either side of the peak, clipped to [1, jmax] (the smaller on
+    ties).  A region whose bound exceeds its sides has its peak inside; the
+    integer argmax over all of [1, jmax] could sit at the far end of a dip
+    in the ratio instead, and the search would then shave one step a pop.
+    """
+    (bp, bq), (ap, aq) = base, axis
+    _, peak_value, critical = _line_ratio(a, b, (float(bp), float(bq)), (float(ap), float(aq)))
+    peak = math.inf
+    for s, value in critical:
+        if value > peak_value:
+            peak, peak_value = s, value
+    if not peak < jmax:
+        return jmax
+    if peak < 1.0:
+        return 1
+
+    def ratio(j: int) -> float:
+        w = (float(bp + j * ap), float(bq + j * aq))
+        return _apply_form(a, w) / _apply_form(b, w)
+
+    j = math.floor(peak)
+    return j if ratio(j) >= ratio(j + 1) else j + 1
 
 
 # -- distances ----------------------------------------------------------------
@@ -247,14 +287,28 @@ def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
     return math.asinh(dz / (2.0 * math.sqrt(tau1.y) * math.sqrt(tau2.y)))
 
 
+# e^(2d) is a finite float exactly when 2d is at most this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def teich_distance_enum(
     tau1: TorusPoint,
     tau2: TorusPoint,
     tol: float = 1e-6,
-    max_depth: int = 256,
+    max_depth: int = 10**6,
     max_evals: int = 200_000,
 ) -> SupRatioResult:
-    """Certified sup of Ext(tau2)/Ext(tau1) over slopes; distance = log(value)/2."""
+    """Certified sup of Ext(tau2)/Ext(tau1) over slopes; distance = log(value)/2.
+
+    The search jumps along rays of slopes (see supratio), so a deep argmax
+    costs few evaluations and max_depth is only a cap.  Raises OverflowError
+    when 1/y of either point or the supremum e^(2d) is not a finite float.
+    """
+    for tau in (tau1, tau2):
+        if 1.0 / tau.y == math.inf:
+            raise OverflowError(f"extremal lengths of size 1/y overflow at y = {tau.y!r}")
+    if 2.0 * teich_distance_oracle(tau1, tau2) > _LOG_FLOAT_MAX:
+        raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
     a = _q_form(tau2)
     b = _q_form(tau1)
 
@@ -265,9 +319,16 @@ def teich_distance_enum(
     def bound(left: Slope, right: Slope, opp: Slope) -> float:
         return _cone_ratio_max(a, b, *cone_directions(left, right, opp))
 
-    return maximize(
-        SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals)
-    )
+    def ray(base: Slope, axis: Slope, prev: Slope, jmax: int):
+        bp, bq = base.p, base.q
+        # the canonical 1/0 stands for (-1, 0) on the mirrored side; prev = base - axis
+        ap, aq = (axis.p, axis.q) if axis.q else (bp - prev.p, bq - prev.q)
+        j = _ray_step(a, b, (bp, bq), (ap, aq), jmax)
+        return (j, Slope._unchecked(bp + j * ap, bq + j * aq),
+                Slope._unchecked(bp + (j - 1) * ap, bq + (j - 1) * aq))
+
+    return maximize(SupQuery(
+        objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals, ray=ray))
 
 
 # -- the Finsler norm and its dual sphere ------------------------------------

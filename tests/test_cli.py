@@ -71,18 +71,42 @@ class TestDistTeich:
         ]
 
     def test_eval_cap_is_noted_on_stderr(self, capsys, monkeypatch):
+        # the ray jump certifies this pair in 5 evaluations, so only a cap at
+        # the 4 root evaluations stops it
         args = ["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i"]
-        capped = functools.partial(torus.teich_distance_enum, max_evals=20)
+        capped = functools.partial(torus.teich_distance_enum, max_evals=4)
         monkeypatch.setattr(torus, "teich_distance_enum", capped)
         assert main(args) == 0
         out, err = capsys.readouterr()
         engine = json.loads(out)["engine"]
-        assert engine["evals"] == 20
+        assert engine["evals"] == 4
         gap = engine["frontier_bound"] - engine["value"]
         assert err.splitlines() == [
-            f"note: not certified at tol 1e-06: eval cap after 20 evaluations, "
+            f"note: not certified at tol 1e-06: eval cap after 4 evaluations, "
             f"gap frontier_bound - value = {gap!r}"
         ]
+
+    def test_ray_pair_certifies_at_the_default_depth_cap(self, capsys):
+        # its argmax -602/1 lies 602 deep, below the former default cap of 256
+        assert main(["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i"]) == 0
+        out, err = capsys.readouterr()
+        engine = json.loads(out)["engine"]
+        assert (engine["certified"], engine["argmax"], engine["max_depth"]) == (True, "-602/1", 10**6)
+        assert engine["evals"] <= 10
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "src, dst",
+        [("2.225073858507203e-309i", "i"), ("1e-300i", "1e300i"),
+         ("2.2e-309i", "3e-309i")],
+        ids=["subnormal-y", "ratio-overflows", "subnormal-y-both"],
+    )
+    def test_numeric_fault_exits_1_with_one_error_line(self, capsys, src, dst):
+        # 1/y or the supremum e^(2d) overflows: valid input, so not exit 2
+        assert main(["dist-teich", "--from", src, "--to", dst]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: numeric fault (OverflowError)") and err.count("\n") == 1
 
 
 class TestDistThurston:
@@ -127,6 +151,14 @@ class TestDistThurston:
 
     def test_off_variety_point_exits_2(self):
         assert main(["dist-thurston", "--from", "3,3,4", "--to", "3,3,6"]) == 2
+
+    def test_overflowing_residual_exits_2(self, capsys):
+        # x^2 + y^2 + z^2 and xyz both overflow, so the residual is NaN
+        argv = ["dist-thurston", "--from", "1e200,1e200,1e200", "--to", "3,3,3", "--max-depth", "3"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: triple") and "misses the trace relation" in err
 
     def test_sweep_stopped_by_max_evals_is_noted_on_stderr(self, capsys):
         assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--max-depth", "30"]) == 0

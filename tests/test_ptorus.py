@@ -45,6 +45,10 @@ class TestMarkovPoint:
         with pytest.raises(InvalidPointError):
             MarkovPoint(3.0, 3.0, 4.0)
 
+    def test_rejects_triples_whose_residual_is_nan(self):
+        with pytest.raises(InvalidPointError):
+            MarkovPoint(1e200, 1e200, 1e200)
+
     def test_rejects_degenerate_traces(self):
         with pytest.raises(InvalidPointError):
             MarkovPoint(2.0, 12.0, 12.0)
