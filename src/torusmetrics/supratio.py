@@ -58,13 +58,14 @@ class SupQuery:
     supremum value.
 
     ``ray(s_base, s_axis, s_prev, jmax)`` is optional and needs a bound.  It
-    picks the best slope base + j*axis, 1 <= j <= jmax, on a region's ray,
-    where s_prev is the state at base - axis, and returns (j, state at
-    base + j*axis, state at base + (j-1)*axis).  The search then also
-    bounds fans, the cones between base and base + n*axis with n >= 2
-    steps: ``subtree_bound(s_base, s_end, s_axis)`` must bound every slope
-    strictly inside that cone too.  A j that misses the best slope costs
-    evaluations, never soundness.
+    picks the slope base + j*axis, 1 <= j <= jmax, to evaluate on a
+    region's ray, best the one next to the objective's peak; s_prev is the
+    state at base - axis.  It returns (j, state at base + j*axis, state at
+    base + (j-1)*axis).  The search then also bounds fans, the cones
+    between base and base + n*axis with n >= 2 steps:
+    ``subtree_bound(s_base, s_end, s_axis)`` must bound every slope
+    strictly inside that cone too.  A poor j costs evaluations, never
+    soundness.
     """
 
     objective: Callable

@@ -154,6 +154,18 @@ class TestErrorHandling:
             SupQuery(lambda s: 1.0, None, roots=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="together"):
             SupQuery(lambda s: 1.0, None, combine=lambda a, b, c: a)
+        with pytest.raises(ValueError, match="ray hook needs a subtree bound"):
+            SupQuery(lambda s: 1.0, None, ray=lambda s_base, s_axis, s_prev, jmax: None)
+
+    @pytest.mark.parametrize("step", [0, 2])
+    def test_ray_step_outside_the_cap_is_rejected(self, step):
+        # at max_depth 1 a popped depth-1 cell allows only j = 1
+        def ray(s_base, s_axis, s_prev, jmax):
+            return step, s_base, s_base
+
+        with pytest.raises(ValueError, match="ray step"):
+            maximize(SupQuery(lambda s: 1.0 / (1.0 + s.q), constant_bound(2.0),
+                              max_depth=1, ray=ray))
 
 
 class TestStabilizationDepth:

@@ -473,7 +473,7 @@ class TestRayJumps:
             assert abs(res.value - math.exp(2.0 * teich_distance_oracle(t1, t2))) <= tol, (t1, t2)
             assert res.evals <= 20, (t1, t2)
 
-    def test_ray_pair_certifies_far_below_the_former_cap(self):
+    def test_ray_pair_certifies_deeper_than_the_former_cap(self):
         res = teich_distance_enum(*RAY_PAIR)
         assert res.certified
         assert res.argmax == Slope(-602, 1)
