@@ -14,7 +14,6 @@ at extreme but valid input, 2 malformed or out-of-chart input, 3 when
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import math
@@ -280,8 +279,7 @@ def _render(payload, fmt: str) -> str:
     return buf.getvalue()
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusmetrics",
         description=(
@@ -349,6 +347,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, _run_gardiner_check, 6)
 
     return parser
+
+
+# built once, at import: parsing keeps no state between calls
+_PARSER = _new_parser()
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser that every call of main shares."""
+    return _PARSER
 
 
 def main(argv=None) -> int:

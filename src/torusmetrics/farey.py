@@ -94,10 +94,30 @@ class Slope:
         return Slope.of(-self.p, self.q)
 
     def direction(self) -> tuple[float, float]:
-        return (float(self.p), float(self.q))
+        return direction(self.p, self.q)
 
     def __str__(self):
         return f"{self.p}/{self.q}"
+
+
+_HUGE_BITS = 500
+_HUGE = 2**_HUGE_BITS
+
+
+def direction(p: int, q: int) -> tuple[float, float]:
+    """(p, q) as floats, scaled by 2^-k once an entry reaches 2^500.
+
+    The scaled vector's largest entry lies in [2^499, 2^500), the size of
+    the largest unscaled ones, so quadratic forms in it stay as finite as
+    at those slopes however deep the slope is.  Integer true division
+    rounds correctly past the float range, and a power-of-two scale is
+    exact, so ratios of forms (homogeneous of degree 0) keep their value,
+    and every smaller vector keeps its bits.
+    """
+    if -_HUGE < p < _HUGE and -_HUGE < q < _HUGE:
+        return (float(p), float(q))
+    k = max(abs(p), abs(q)).bit_length() - _HUGE_BITS
+    return (p / 2**k, q / 2**k)
 
 
 def mediant(a: Slope, b: Slope) -> Slope:
@@ -207,7 +227,8 @@ def cone_directions(
     rp, rq = right.p, right.q
     if left.p + rp == opp.p and left.q + rq == opp.q:
         rp, rq = -rp, -rq
-    return (float(left.p), float(left.q)), (float(rp), float(rq))
+    # each side scales on its own: the cone is the same
+    return direction(left.p, left.q), direction(rp, rq)
 
 
 def root_cells(roots: tuple) -> tuple[tuple, tuple]:

@@ -15,6 +15,23 @@ lengths and their differentials stay accurate at any depth.  Public jets
 still expose the raw trace and gradient, which may round to infinity for
 very complicated curves.
 
+Long curves take two shortcuts that skip work whose result rounds away,
+so every value is bit-identical to the full formula:
+
+- The step adds log1p(-e^d) to la + lb, where d = lc - la - lb.  When
+  d < -40 that term is below 4.3e-18 in size, while every state exceeds
+  log 2, so la + lb >= 1.38 and half an ulp of it (half the spacing below,
+  at a power of two) is at least 1.1e-16: the sum rounds back to la + lb,
+  which is returned without exp, log1p or the checks.  A NaN d fails the
+  test and takes the full path.
+- Lengths are 2*((l - log 2) + log(1 + sqrt(1 - 4/t^2))) for l = log t
+  >= 30.  There 4/t^2 < 3.6e-26 is below half an ulp of 1, so the root is
+  1.0, the log term is log 2 and the length factor 2/root is 2.0.  And
+  (l - log 2) + log 2 rounds back to l: the difference misses l - log 2
+  by less than half its ulp (never exactly half, as the lowest set bit of
+  log 2, 2^-53, sits below half an ulp of any number above 16), which is
+  less than half the spacing around l.  So the length is 2*l, bit for bit.
+
 Suprema over curves carry these values down the Stern-Brocot walk of the
 sup engine, one recursion step per slope.  Random access to a single slope
 applies the same steps along the slope's path from the root, so the two
@@ -52,6 +69,10 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# below this log(t_c / (t_a t_b)) the trace step's correction rounds away
+_FAR = -40.0
+# from this log trace on, the length is 2*log t and its factor 2, bit for bit
+_LONG = 30.0
 _MIN_TRACE = 2.0 + 1e-12
 _TWIST_OVERFLOW = 1e150
 _DEGENERATE = "trace recursion degenerated; the point is not Fuchsian"
@@ -223,7 +244,10 @@ def tangent_from_chart(point: MarkovPoint, vx: float, vy: float) -> PTTangent:
 
 def _log_step(la: float, lb: float, lc: float) -> float:
     """log t_m from t_m = t_a t_b - t_c, for Farey parents a, b and opposite c."""
-    ratio = math.exp(lc - la - lb)  # t_c / (t_a t_b), in (0, 1)
+    d = lc - la - lb  # log(t_c / (t_a t_b)), below 0
+    if d < _FAR:
+        return la + lb  # exact: see the module docstring
+    ratio = math.exp(d)
     if ratio >= 1.0:
         raise InvalidPointError(_DEGENERATE)
     lm = la + lb + math.log1p(-ratio)
@@ -233,11 +257,23 @@ def _log_step(la: float, lb: float, lc: float) -> float:
 
 
 def _grad_step(a: tuple, b: tuple, c: tuple) -> tuple[float, tuple[float, float, float]]:
-    """(log t, gradient of log t) at the mediant, from the same at a, b, c."""
+    """(log t, gradient of log t) at the mediant, from the same at a, b, c.
+
+    _log_step is inlined: this is the step of every norm sweep.
+    """
     la, ua = a[0], a[1]
     lb, ub = b[0], b[1]
     lc, uc = c[0], c[1]
-    lm = _log_step(la, lb, lc)
+    d = lc - la - lb
+    if d < _FAR:
+        lm = la + lb
+    else:
+        ratio = math.exp(d)
+        if ratio >= 1.0:
+            raise InvalidPointError(_DEGENERATE)
+        lm = la + lb + math.log1p(-ratio)
+        if lm <= _LOG2:
+            raise InvalidPointError(_SHORT_CURVE)
     r = math.exp(lc - lm)  # t_c / t_m
     s = 1.0 + r            # t_a t_b / t_m
     return lm, (
@@ -301,13 +337,15 @@ class TraceCache:
 
 def _ell_from_log(lt: float) -> float:
     """2*arccosh(exp(lt)/2) without forming huge traces."""
-    if lt < 30.0:
+    if lt < _LONG:
         return 2.0 * math.acosh(0.5 * math.exp(lt))
-    return 2.0 * (lt - _LOG2 + math.log(1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))))
+    return 2.0 * lt  # 2*(lt - log 2 + log(1 + sqrt(1 - 4/t^2))), bit for bit
 
 
 def _dlen_factor(lt: float) -> float:
     """d(length)/d(trace) * trace = 2 / sqrt(1 - 4/t^2)."""
+    if lt >= _LONG:
+        return 2.0  # the root rounds to 1
     return 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
 
 
@@ -375,19 +413,27 @@ def _pair_step(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
     operations and checks are those of _log_step, in the same order.
     """
     la, lb, lc = a[0], b[0], c[0]
-    ratio = math.exp(lc - la - lb)
-    if ratio >= 1.0:
-        raise InvalidPointError(_DEGENERATE)
-    lx = la + lb + math.log1p(-ratio)
-    if lx <= _LOG2:
-        raise InvalidPointError(_SHORT_CURVE)
+    d = lc - la - lb
+    if d < _FAR:
+        lx = la + lb
+    else:
+        ratio = math.exp(d)
+        if ratio >= 1.0:
+            raise InvalidPointError(_DEGENERATE)
+        lx = la + lb + math.log1p(-ratio)
+        if lx <= _LOG2:
+            raise InvalidPointError(_SHORT_CURVE)
     la, lb, lc = a[1], b[1], c[1]
-    ratio = math.exp(lc - la - lb)
-    if ratio >= 1.0:
-        raise InvalidPointError(_DEGENERATE)
-    ly = la + lb + math.log1p(-ratio)
-    if ly <= _LOG2:
-        raise InvalidPointError(_SHORT_CURVE)
+    d = lc - la - lb
+    if d < _FAR:
+        ly = la + lb
+    else:
+        ratio = math.exp(d)
+        if ratio >= 1.0:
+            raise InvalidPointError(_DEGENERATE)
+        ly = la + lb + math.log1p(-ratio)
+        if ly <= _LOG2:
+            raise InvalidPointError(_SHORT_CURVE)
     return lx, ly
 
 
@@ -398,14 +444,8 @@ def _length_ratio(state: tuple[float, float]) -> float:
     bit-identical to the ratio of the two lengths.
     """
     lx, ly = state
-    if lx < 30.0:
-        hx = math.acosh(0.5 * math.exp(lx))
-    else:
-        hx = lx - _LOG2 + math.log(1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lx)))
-    if ly < 30.0:
-        hy = math.acosh(0.5 * math.exp(ly))
-    else:
-        hy = ly - _LOG2 + math.log(1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0 * ly)))
+    hx = math.acosh(0.5 * math.exp(lx)) if lx < _LONG else lx
+    hy = math.acosh(0.5 * math.exp(ly)) if ly < _LONG else ly
     return hy / hx
 
 
@@ -422,8 +462,9 @@ def thurston_distance(
     By default the engine sweeps the tree exhaustively to ``max_depth`` and
     reports certified = False with the empirical stabilization depth.  With
     ``certified_bound`` a best-first search pruned by _subtree_ratio_bound
-    certifies tight tolerances, except that cells on a ray toward +-1/1
-    close only like 1/depth, so an argmax there can stop uncertified at
+    certifies tight tolerances, except that cells on a ray of slopes that
+    converges to a rational argmax (such as -1/1, 1/1, 2/3 or 1/2) close
+    only like 1/depth, so such an argmax can stop uncertified at
     ``max_depth``.
     """
     pairs = ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z))  # at 0/1, 1/0, 1/1
@@ -455,14 +496,14 @@ def thurston_norm(
     wx, wy, wz = v.wx, v.wy, v.wz
 
     def objective(state: tuple) -> float:
-        # _ell_from_log and _dlen_factor inlined; both use sqrt(1 - 4/t^2)
+        # _ell_from_log and _dlen_factor inlined
         lt, u = state
-        root = math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
-        if lt < 30.0:
+        if lt < _LONG:
             ell = 2.0 * math.acosh(0.5 * math.exp(lt))
+            f = 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
         else:
-            ell = 2.0 * (lt - _LOG2 + math.log(1.0 + root))
-        f = 2.0 / root
+            ell = 2.0 * lt
+            f = 2.0
         return (f * u[0] * wx + f * u[1] * wy + f * u[2] * wz) / ell
 
     return maximize(

@@ -296,5 +296,6 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
 
     outstanding = max(frontier_top, truncated)
     certified = not hit_eval_cap and outstanding <= search.best_value + query.tolerance
-    frontier_bound = outstanding if math.isfinite(outstanding) else search.best_value
+    # -inf: the heap emptied with nothing truncated; +inf stays, unbounded
+    frontier_bound = outstanding if outstanding > -math.inf else search.best_value
     return search.result(certified, frontier_bound, hit_eval_cap)

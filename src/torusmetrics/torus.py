@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
-from .farey import Slope, cone_directions
+from .farey import Slope, cone_directions, direction
 from .supratio import SupQuery, SupRatioResult, maximize
 
 __all__ = [
@@ -266,7 +266,7 @@ def _ray_step(a, b, base: tuple[int, int], axis: tuple[int, int], jmax: int) -> 
         return 1
 
     def ratio(j: int) -> float:
-        w = (float(bp + j * ap), float(bq + j * aq))
+        w = direction(bp + j * ap, bq + j * aq)
         return _apply_form(a, w) / _apply_form(b, w)
 
     j = math.floor(peak)
@@ -313,7 +313,7 @@ def teich_distance_enum(
     b = _q_form(tau1)
 
     def objective(s: Slope) -> float:
-        u = s.direction()
+        u = direction(s.p, s.q)
         return _apply_form(a, u) / _apply_form(b, u)
 
     def bound(left: Slope, right: Slope, opp: Slope) -> float:

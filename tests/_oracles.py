@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from torusmetrics.errors import InvalidPointError
 from torusmetrics.farey import Slope, cone_directions
 from torusmetrics.supratio import SupQuery, SupRatioResult, maximize
 from torusmetrics.torus import (
@@ -26,6 +27,8 @@ from torusmetrics.torus import (
 )
 
 LOG2 = math.log(2.0)
+_DEGENERATE = "trace recursion degenerated; the point is not Fuchsian"
+_SHORT_CURVE = "a simple closed curve has trace <= 2; the point is not Fuchsian"
 
 
 def central_diff(f, x: float, h: float = 1e-6) -> float:
@@ -175,6 +178,68 @@ def ptorus_bruteforce_sup(src, dst, depth: int):
             pa, qa = np.concatenate([pa, pm]), np.concatenate([qa, qm])
             pb, qb = np.concatenate([pm, pb]), np.concatenate([qm, qb])
     return best, best_slope
+
+
+# -- the punctured-torus trace step and length formula, in full ---------------
+#
+# The library skips the parts of these that round away on long curves; these
+# references always take the full formula, so the library must match them
+# bit for bit.
+
+def log_step_reference(la: float, lb: float, lc: float) -> float:
+    """log t_m from t_m = t_a t_b - t_c, for Farey parents a, b and opposite c."""
+    ratio = math.exp(lc - la - lb)  # t_c / (t_a t_b), in (0, 1)
+    if ratio >= 1.0:
+        raise InvalidPointError(_DEGENERATE)
+    lm = la + lb + math.log1p(-ratio)
+    if lm <= LOG2:
+        raise InvalidPointError(_SHORT_CURVE)
+    return lm
+
+
+def ell_from_log_reference(lt: float) -> float:
+    """2*arccosh(exp(lt)/2) without forming huge traces."""
+    if lt < 30.0:
+        return 2.0 * math.acosh(0.5 * math.exp(lt))
+    return 2.0 * (lt - LOG2 + math.log(1.0 + math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))))
+
+
+def dlen_factor_reference(lt: float) -> float:
+    """d(length)/d(trace) * trace = 2 / sqrt(1 - 4/t^2)."""
+    return 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
+
+
+def pair_step_reference(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
+    return (log_step_reference(a[0], b[0], c[0]), log_step_reference(a[1], b[1], c[1]))
+
+
+def grad_step_reference(a: tuple, b: tuple, c: tuple) -> tuple:
+    la, ua = a[0], a[1]
+    lb, ub = b[0], b[1]
+    lc, uc = c[0], c[1]
+    lm = log_step_reference(la, lb, lc)
+    r = math.exp(lc - lm)
+    s = 1.0 + r
+    return lm, (
+        s * (ua[0] + ub[0]) - r * uc[0],
+        s * (ua[1] + ub[1]) - r * uc[1],
+        s * (ua[2] + ub[2]) - r * uc[2],
+    )
+
+
+def length_ratio_reference(state: tuple[float, float]) -> float:
+    return ell_from_log_reference(state[1]) / ell_from_log_reference(state[0])
+
+
+def norm_objective_reference(v):
+    """The thurston_norm objective for tangent v, from the full formulas."""
+
+    def objective(state: tuple) -> float:
+        lt, u = state
+        f = dlen_factor_reference(lt)
+        return (f * u[0] * v.wx + f * u[1] * v.wy + f * u[2] * v.wz) / ell_from_log_reference(lt)
+
+    return objective
 
 
 # -- explicit holonomy representation of a cusped punctured torus -------------

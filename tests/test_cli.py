@@ -86,6 +86,23 @@ class TestDistTeich:
             f"gap frontier_bound - value = {gap!r}"
         ]
 
+    def test_unbounded_frontier_is_noted_as_infinite(self, capsys):
+        # the argmax lies past the default cap, under cells whose bound is inf
+        args = ["dist-teich", "--from=-4.9607694239991494e153+9.887243906821714e153i",
+                "--to=-2.898885002286508e153+11.160320892826977i"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        engine = json.loads(out)["engine"]
+        assert engine["certified"] is False and engine["frontier_bound"] is None
+        assert err.splitlines() == [
+            "note: not certified at tol 1e-06: depth cap at 1000000, "
+            "gap frontier_bound - value = inf"
+        ]
+        # past the float range, the deep slope certifies instead of exiting 2
+        assert main(args + ["--max-depth", "1" + "0" * 400]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["engine"]["certified"] is True and err == ""
+
     def test_ray_pair_certifies_at_the_default_depth_cap(self, capsys):
         # its argmax -602/1 lies 602 deep, below the former default cap of 256
         assert main(["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i"]) == 0

@@ -9,6 +9,7 @@ from torusmetrics.farey import (
     Slope,
     add_slopes,
     cone_directions,
+    direction,
     enumerate_slopes,
     intersection_number,
     mediant,
@@ -59,6 +60,35 @@ class TestSlope:
         assert Slope(1, 0).mirrored() == Slope(1, 0)
         assert Slope(0, 1).mirrored() == Slope(0, 1)
         assert Slope(2, 3).mirrored() == Slope(-2, 3)
+
+
+class TestDirection:
+    def test_slopes_up_to_2_500_keep_their_floats(self):
+        big = 2**500 - 1
+        for p, q in [(0, 1), (1, 0), (-3, 2), (big, 1), (-big, big - 2), (3**315, 2**499)]:
+            assert direction(p, q) == (float(p), float(q))
+            s = Slope.of(p, q)
+            assert s.direction() == (float(s.p), float(s.q))
+
+    @pytest.mark.parametrize("p, q", [
+        (2**500, 1), (-(3**330), 7), (2**600 + 1, 2**599 - 1), (5**2000, 3), (1, 7**500),
+    ])
+    def test_deeper_slopes_scale_by_a_power_of_two(self, p, q):
+        u0, u1 = direction(p, q)
+        assert 2.0**499 <= max(abs(u0), abs(u1)) < 2.0**500
+        k = max(abs(p), abs(q)).bit_length() - 500
+        # each entry is the correctly rounded p / 2^k, also past the float range
+        assert u0 == p / 2**k and u1 == q / 2**k
+        if max(abs(p), abs(q)) < 2**1000:
+            assert (u0, u1) == (math.ldexp(float(p), -k), math.ldexp(float(q), -k))
+
+    def test_cone_directions_scale_each_side(self):
+        n = 2**600
+        u, v = cone_directions(Slope(n, 1), Slope(1, 0), Slope(n - 1, 1))
+        assert u == direction(n, 1) == (2.0**499, 2.0**-101) and v == (1.0, 0.0)
+        # the mirrored cell below 1/0, whose right side points along (-1, 0)
+        u, v = cone_directions(Slope(-n, 1), Slope(1, 0), Slope(1 - n, 1))
+        assert u == (-(2.0**499), 2.0**-101) and v == (-1.0, 0.0)
 
 
 class TestMediant:

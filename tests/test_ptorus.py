@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 
+from torusmetrics import ptorus
 from torusmetrics.errors import InvalidPointError, OutOfChartError
-from torusmetrics.farey import Slope, enumerate_slopes, root_nodes
+from torusmetrics.farey import Slope, enumerate_slopes, root_nodes, sweep
 from torusmetrics.ptorus import (
     MarkovPoint,
     TraceCache,
@@ -21,8 +23,22 @@ from torusmetrics.ptorus import (
     trace_of_slope,
     _subtree_ratio_bound,
 )
+from torusmetrics.supratio import SupQuery, maximize
 
-from _oracles import central_diff, holonomy_matrices, ptorus_bruteforce_sup, word_trace
+from _oracles import (
+    LOG2,
+    central_diff,
+    dlen_factor_reference,
+    ell_from_log_reference,
+    grad_step_reference,
+    holonomy_matrices,
+    length_ratio_reference,
+    log_step_reference,
+    norm_objective_reference,
+    pair_step_reference,
+    ptorus_bruteforce_sup,
+    word_trace,
+)
 
 MODULAR = MarkovPoint(3.0, 3.0, 3.0)
 MIRROR = MarkovPoint(3.0, 3.0, 6.0)
@@ -536,3 +552,150 @@ class TestBoundaryConvergence:
             MODULAR, point, a, max_depth=8
         ) / normalized_length_functional(MODULAR, point, b, max_depth=8)
         assert normalized == pytest.approx(direct, rel=1e-12)
+
+
+# -- the long-curve shortcuts match the full formulas bit for bit -------------
+
+def _near_chart_boundary(x, eps):
+    # the chart ends where x^2 y^2 = 4 (x^2 + y^2), at y = 2x / sqrt(x^2 - 4)
+    return from_parameters(x, 2.0 * x / math.sqrt(x * x - 4.0) * (1.0 + eps))
+
+
+def _twisted(point, k):
+    # k twists about 1/0, then two back about 0/1: every root is long, and
+    # the short curves lie deeper than the sweeps below reach
+    return dehn_twist(dehn_twist(point, Slope(1, 0), k), Slope(0, 1), -2)
+
+
+_SHORTCUT_RNG = random.Random(20261018)
+CHART_POINTS = [random_chart_point(_SHORTCUT_RNG) for _ in range(24)]
+BOUNDARY_POINTS = [
+    _near_chart_boundary(x, eps)
+    for x, eps in ((2.1, 1e-9), (2.5, 1e-6), (3.0, 1e-12), (3.5, 1e-3),
+                   (4.5, 1e-8), (6.0, 1e-4), (9.0, 1e-10), (20.0, 1e-7))
+]
+TWISTED_POINTS = [
+    dehn_twist(MODULAR, Slope(1, 0), 36),
+    dehn_twist(MIRROR, Slope(1, 1), 33),
+    dehn_twist(from_parameters(4.0, 5.0), Slope(1, 0), -35),
+    dehn_twist(from_parameters(3.5, 5.5), Slope(1, 1), 36),
+    _twisted(MODULAR, 34),
+    _twisted(from_parameters(3.5, 5.5), 34),
+    _twisted(from_parameters(3.5, 5.5), 36),
+]
+SHORTCUT_PAIRS = [
+    *zip(CHART_POINTS, CHART_POINTS[1:] + CHART_POINTS[:1]),
+    *zip(BOUNDARY_POINTS, CHART_POINTS),
+    *zip(TWISTED_POINTS, TWISTED_POINTS[1:] + TWISTED_POINTS[:1]),
+    *zip(TWISTED_POINTS, CHART_POINTS),
+    *zip(CHART_POINTS, TWISTED_POINTS),
+]
+
+
+def _pair_roots(src, dst):
+    return tuple((math.log(tx), math.log(ty))
+                 for tx, ty in ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z)))
+
+
+def _same(got, want):
+    # bit-equal, NaN included, through nested tuples
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same, got, want))
+    return got == want or (got != got and want != want)
+
+
+def _same_call(fn, reference, *args):
+    try:
+        want = reference(*args)
+    except InvalidPointError as exc:
+        with pytest.raises(InvalidPointError, match=re.escape(str(exc))):
+            fn(*args)
+        return
+    got = fn(*args)
+    assert _same(got, want), (args, got, want)
+
+
+class TestLongCurveShortcuts:
+    """The trace step and the length formula skip only terms that round away."""
+
+    def test_twisted_points_start_long(self):
+        long_roots = [sum(t > math.exp(30.0) for t in (p.x, p.y, p.z)) for p in TWISTED_POINTS]
+        assert min(long_roots) == 2 and long_roots.count(3) == 3
+
+    @pytest.mark.parametrize("src, dst", SHORTCUT_PAIRS)
+    def test_distance_sweep_is_bit_identical(self, src, dst):
+        roots = _pair_roots(src, dst)
+        got = list(sweep(roots, ptorus._pair_step, 12, math.inf))
+        want = list(sweep(roots, pair_step_reference, 12, math.inf))
+        assert got == want
+        reference = maximize(SupQuery(length_ratio_reference, None, max_depth=12,
+                                      roots=roots, combine=pair_step_reference))
+        # every field: value, argmax, evals, stabilization depth and the rest
+        assert thurston_distance(src, dst, max_depth=12) == reference
+
+    @pytest.mark.parametrize("point", CHART_POINTS[:4] + BOUNDARY_POINTS[:2] + TWISTED_POINTS)
+    def test_norm_sweep_is_bit_identical(self, point):
+        v = tangent_from_chart(point, 1.0, -0.5)
+        roots = tuple(j[:2] for j in ptorus._root_jets(point))
+        got = list(sweep(roots, ptorus._grad_step, 11, math.inf))
+        want = list(sweep(roots, grad_step_reference, 11, math.inf))
+        assert got == want
+        reference = maximize(SupQuery(norm_objective_reference(v), None, max_depth=11,
+                                      roots=roots, combine=grad_step_reference))
+        assert thurston_norm(point, v, max_depth=11) == reference
+
+    @pytest.mark.parametrize("total", [
+        1.5, 2.0, math.nextafter(2.0, 0.0), 4.0, 64.0, math.nextafter(64.0, 0.0),
+        96.0, 1024.0, 2.0 ** 20, math.nextafter(2.0 ** 20, math.inf),
+    ])
+    def test_trace_step_at_the_threshold(self, total):
+        # la + lb == total exactly; d runs across -40 in single ulps and on a grid
+        # that reaches the short trace steps, where the correction is kept
+        la = lb = 0.5 * total
+        targets = [-40.0, math.nextafter(-40.0, -math.inf), math.nextafter(-40.0, math.inf)]
+        targets += [-45.0 + 0.125 * i for i in range(161)]
+        checked_skip = checked_full = 0
+        for d in targets:
+            lc = d + total
+            for _ in range(8):  # land lc - la - lb on d exactly where it can
+                got = lc - la - lb
+                if got == d:
+                    break
+                lc = math.nextafter(lc, math.inf if got < d else -math.inf)
+            d = lc - la - lb
+            checked_skip += d < -40.0
+            checked_full += d >= -40.0
+            _same_call(ptorus._log_step, log_step_reference, la, lb, lc)
+            _same_call(ptorus._pair_step, pair_step_reference, (la, 1.0), (lb, 1.0), (lc, 0.5))
+            _same_call(ptorus._pair_step, pair_step_reference, (1.0, la), (1.0, lb), (0.5, lc))
+            grads = ((la, (0.25, -1.0, 3.0)), (lb, (1.5, 2.0, -0.125)), (lc, (-7.0, 0.5, 1e3)))
+            _same_call(ptorus._grad_step, grad_step_reference, *grads)
+        assert checked_skip >= 30 and checked_full >= 100
+
+    def test_trace_step_on_inf_and_nan(self):
+        inf, nan = math.inf, math.nan
+        for la, lb, lc in ((inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, inf), (inf, 1.0, inf),
+                           (1.0, 1.0, -inf), (nan, 1.0, 1.0), (1.0, 1.0, nan), (inf, -inf, 1.0)):
+            _same_call(ptorus._log_step, log_step_reference, la, lb, lc)
+            _same_call(ptorus._pair_step, pair_step_reference, (la, 2.0), (lb, 2.0), (lc, 1.0))
+            grads = ((la, (1.0, 0.0, 0.0)), (lb, (0.0, 1.0, 0.0)), (lc, (0.0, 0.0, 1.0)))
+            _same_call(ptorus._grad_step, grad_step_reference, *grads)
+
+    def test_length_formula_at_the_threshold(self):
+        grid = [30.0, math.nextafter(30.0, -math.inf), math.nextafter(30.0, math.inf),
+                29.0, 31.0, 32.0, math.nextafter(32.0, 0.0), 64.0, 1e3, 1e6, 1e300,
+                math.inf, math.nan]
+        grid += [0.7 + 0.173 * i for i in range(170)]  # short curves take acosh
+        grid += [30.0 + 0.0371 * i for i in range(400)]
+        for k in range(5, 1024):  # binade edges, where l - log 2 drops a binade
+            edge = 2.0 ** k
+            grid += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+            grid += [edge + LOG2, math.nextafter(edge + LOG2, 0.0)]
+        for lt in grid:
+            _same_call(ptorus._ell_from_log, ell_from_log_reference, lt)
+            _same_call(ptorus._dlen_factor, dlen_factor_reference, lt)
+        for lx in grid[:600:7]:
+            for ly in grid[:600:11]:
+                _same_call(ptorus._length_ratio, length_ratio_reference, (lx, ly))
+            _same_call(ptorus._length_ratio, length_ratio_reference, (lx, 1.5))
+            _same_call(ptorus._length_ratio, length_ratio_reference, (1.5, lx))

@@ -1,8 +1,10 @@
 """Rules the runtime package must keep for the code that sits beside it.
 
 The benchmark's traced pass (perfbench/tracing.py) rebinds names in the
-package's modules, so a rename under src/ must fail here first; and the
-runtime imports nothing outside the standard library.
+package's modules, so a rename under src/ must fail here first; the
+runtime imports nothing outside the standard library; and it memoizes
+nothing, so speed comes from the cost per slope, not from results kept
+across queries.
 """
 
 import ast
@@ -57,3 +59,59 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+_DICT_WRITES = {"setdefault", "update", "__setitem__"}
+
+
+def _memo_violations(source: str) -> list[str]:
+    """functools caches, and module-level dicts that a function writes to."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"from functools import {a.name}" for a in node.names
+                      if a.name in _CACHE_DECORATORS]
+        elif (isinstance(node, ast.Attribute) and node.attr in _CACHE_DECORATORS
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(f"functools.{node.attr}")
+    dicts = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) and node.value else [])
+        value = getattr(node, "value", None)
+        is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "defaultdict", "OrderedDict"))
+        if is_dict:
+            dicts |= {t.id for t in targets if isinstance(t, ast.Name)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name) and node.value.id in dicts):
+                found.append(f"{node.value.id}[...] written in a function")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _DICT_WRITES and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in dicts):
+                found.append(f"{node.func.value.id}.{node.func.attr} in a function")
+    return found
+
+
+def test_the_memo_rule_sees_caches_and_memo_dicts():
+    memo = "_SEEN = {}\ndef f(x):\n    _SEEN[x] = x * x\n    return _SEEN[x]\n"
+    assert _memo_violations(memo) == ["_SEEN[...] written in a function"]
+    assert _memo_violations("_T: dict = dict()\ndef f(x):\n    return _T.setdefault(x, x)\n")
+    assert _memo_violations("import functools\n@functools.lru_cache(None)\ndef f(x):\n    pass\n")
+    assert _memo_violations("from functools import cache\n")
+    # a constant table that functions only read is not a memo
+    assert _memo_violations("_STEP = {1: abs}\ndef f(x):\n    return _STEP[1](x)\n") == []
+
+
+def test_runtime_keeps_no_memo():
+    files = sorted((SRC / "torusmetrics").glob("*.py"))
+    assert files
+    for path in files:
+        assert _memo_violations(path.read_text(encoding="utf-8")) == [], path.name

@@ -67,6 +67,18 @@ class TestForcedTruncation:
         assert not loose.certified
         assert loose.frontier_bound == 2.0
 
+    def test_unbounded_frontier_stays_infinite(self):
+        # cells the depth cap leaves closed under an infinite bound are
+        # unbounded; the frontier bound must not fall back to the best value
+        obj = lambda s: 1.0 / (1.0 + s.q)
+        res = maximize(SupQuery(obj, constant_bound(math.inf), tolerance=1e-9, max_depth=2))
+        assert not res.certified
+        assert res.frontier_bound == math.inf
+        assert res.to_json_dict()["frontier_bound"] is None
+        capped = maximize(SupQuery(obj, constant_bound(math.inf), tolerance=1e-9,
+                                   max_depth=30, max_evals=10))
+        assert capped.hit_eval_cap and capped.frontier_bound == math.inf
+
 
 class TestExtremalRatioExample:
     """sup Ext(2i)/Ext(i) over slopes: the quadratic-form workhorse query."""

@@ -480,6 +480,19 @@ class TestRayJumps:
         assert res.evals <= 10
         assert abs(res.value - math.exp(2.0 * teich_distance_oracle(*RAY_PAIR))) <= 1e-6
 
+    def test_slopes_past_2_500_certify(self):
+        # the argmax n/1 has 514 bits: the squares of float(n) overflow, so
+        # the forms are evaluated on (n, 1) scaled by a power of two
+        pair = (TorusPoint(-4.9607694239991494e153, 9.887243906821714e153),
+                TorusPoint(-2.898885002286508e153, 11.160320892826977))
+        res = teich_distance_enum(*pair, max_depth=10**400)
+        assert res.certified and res.evals <= 10
+        assert res.argmax.q == 1 and res.argmax.p.bit_length() > 500
+        assert res.value == pytest.approx(math.exp(2.0 * teich_distance_oracle(*pair)), rel=1e-12)
+        # at the default cap the deep cells stay closed under an unbounded frontier
+        capped = teich_distance_enum(*pair)
+        assert not capped.certified and capped.frontier_bound == math.inf
+
     @pytest.mark.parametrize("max_depth", [1, 5, 20, 256, 10**6])
     def test_evaluated_depths_are_tree_depths_within_the_cap(self, monkeypatch, max_depth):
         seen = self.record(monkeypatch)
