@@ -10,14 +10,7 @@ with optional certification, and ``cli`` exposes the lot as commands.
 """
 
 from .errors import InvalidPointError, OutOfChartError
-from .farey import (
-    FareyNode,
-    Slope,
-    enumerate_slopes,
-    intersection_number,
-    mediant,
-    slope_parents,
-)
+from .farey import Slope, enumerate_slopes, intersection_number, mediant
 from .supratio import SupQuery, SupRatioResult, maximize
 from .torus import (
     Covector,
@@ -60,11 +53,9 @@ __all__ = [
     "InvalidPointError",
     "OutOfChartError",
     "Slope",
-    "FareyNode",
     "mediant",
     "intersection_number",
     "enumerate_slopes",
-    "slope_parents",
     "SupQuery",
     "SupRatioResult",
     "maximize",

@@ -1,9 +1,10 @@
 """Command-line front end: distances, norms, dual spheres, experiments.
 
 Every command writes one machine-readable artifact (JSON or CSV) to the
-output path or stdout, carrying the tolerance and certification metadata
-that produced each number.  Runs are deterministic: identical arguments
-produce byte-identical output.
+output path or stdout.  Only the four searches for a supremum over slopes
+take --tol, --max-depth and --require-certified, and they carry the tolerance
+and certification metadata that produced each number.  Runs are
+deterministic: identical arguments produce byte-identical output.
 
 Exit codes: 0 success, 1 a numeric fault (overflow, underflow to zero)
 at extreme but valid input, 2 malformed or out-of-chart input, 3 when
@@ -104,8 +105,6 @@ def _run_norm_teich(args: argparse.Namespace):
         "vy": v.vy,
         "norm": value,
         "certified": True,
-        "tol": args.tol,
-        "max_depth": args.max_depth,
     }
     return out, True
 
@@ -162,7 +161,6 @@ def _run_converge_boundary(args: argparse.Namespace):
     ks = [int(part) for part in args.ks.split(",") if part]
     lams = [Slope.parse(part) for part in args.slopes.split(",") if part]
     rows = []
-    results = []
     certified = True
     for k in ks:
         try:
@@ -174,8 +172,7 @@ def _run_converge_boundary(args: argparse.Namespace):
         certified = certified and res.certified
         for s in lams:
             ell = ptorus.length(point, ptorus.WeightedLamination(1.0, s))
-            rows.append((k, str(s), ell, stretch, ell / stretch))
-            results.append(
+            rows.append(
                 {
                     "k": k,
                     "slope": str(s),
@@ -193,15 +190,16 @@ def _run_converge_boundary(args: argparse.Namespace):
             "about": str(about),
             "tol": args.tol,
             "max_depth": args.max_depth,
-            "rows": results,
+            "rows": rows,
         }
         return out, certified
     header = ["k", "slope", "length", "L_X", "normalized_value"]
     meta = (
         f"# normalized length functional along twists about {about} of {base}"
-        f" tol={args.tol!r} max_depth={args.max_depth} certified=false"
+        f" tol={args.tol!r} max_depth={args.max_depth} certified={str(certified).lower()}"
     )
-    csv_rows = [(str(k), s, repr(l), repr(L), repr(nv)) for k, s, l, L, nv in rows]
+    floats = ("length", "stretch", "normalized_value")
+    csv_rows = [(str(r["k"]), r["slope"], *(repr(r[f]) for f in floats)) for r in rows]
     return (meta, header, csv_rows), certified
 
 
@@ -222,7 +220,6 @@ def _run_converge_gm(args: argparse.Namespace):
         out = {
             "command": args.command,
             "base": str(base),
-            "tol": args.tol,
             "rows": [
                 {
                     "k": k,
@@ -289,18 +286,21 @@ def _new_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, depth_default, formats=("json",)):
+    def common(p, run, formats=("json",)):
         p.set_defaults(run=run)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--max-depth", type=int, default=depth_default)
         p.add_argument("--output", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=formats, default="json")
+
+    def search(p, run, depth_default, formats=("json",)):
+        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--max-depth", type=int, default=depth_default)
         p.add_argument("--require-certified", action="store_true")
+        common(p, run, formats)
 
     p = sub.add_parser("dist-teich", help="Teichmuller distance between torus points")
     p.add_argument("--from", dest="src", required=True, metavar="X+YI")
     p.add_argument("--to", dest="dst", required=True, metavar="X+YI")
-    common(p, _run_dist_teich, 10**6)
+    search(p, _run_dist_teich, 10**6)
 
     p = sub.add_parser("dist-thurston", help="directed Thurston distance between Markov points")
     p.add_argument("--from", dest="src", required=True, metavar="X,Y,Z")
@@ -308,43 +308,44 @@ def _new_parser() -> argparse.ArgumentParser:
     p.add_argument("--certified-bound", action="store_true",
                    help="prune a best-first search with a sound subtree bound, "
                         "so the result can be certified")
-    common(p, _run_dist_thurston, 12)
+    search(p, _run_dist_thurston, 12)
 
     p = sub.add_parser("norm-teich", help="Teichmuller Finsler norm of a tangent vector")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--vx", type=float, required=True)
     p.add_argument("--vy", type=float, required=True)
-    common(p, _run_norm_teich, 256)
+    common(p, _run_norm_teich)
 
     p = sub.add_parser("norm-thurston", help="Thurston Finsler norm of a chart tangent")
     p.add_argument("--at", required=True, metavar="X,Y,Z")
     p.add_argument("--vx", type=float, required=True, help="chart dx component")
     p.add_argument("--vy", type=float, required=True, help="chart dy component")
-    common(p, _run_norm_thurston, 12)
+    search(p, _run_norm_thurston, 12)
 
     p = sub.add_parser("dual-sphere", help="sample the dual sphere of extremal-length differentials")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--samples", type=int, default=256)
-    common(p, _run_dual_sphere, 1, ("json", "csv"))
+    common(p, _run_dual_sphere, ("json", "csv"))
 
     p = sub.add_parser("converge-boundary", help="normalized lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X,Y,Z")
     p.add_argument("--about", default="1/0", metavar="P/Q")
     p.add_argument("--ks", default="10,25,50", help="comma-separated twist counts")
     p.add_argument("--slopes", default="0/1,1/1,1/2", help="comma-separated slopes to track")
-    common(p, _run_converge_boundary, 12, ("json", "csv"))
+    search(p, _run_converge_boundary, 12, ("json", "csv"))
 
     p = sub.add_parser("converge-gm", help="normalized extremal lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X+YI")
     p.add_argument("--ks", default="10,25,50")
     p.add_argument("--slopes", default="0/1,1/1,1/2")
-    common(p, _run_converge_gm, 1, ("json", "csv"))
+    common(p, _run_converge_gm, ("json", "csv"))
 
     p = sub.add_parser("gardiner-check", help="variational formula against the exact gradient")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=20240101)
-    common(p, _run_gardiner_check, 6)
+    p.add_argument("--tol", type=float, default=1e-6, help="pass threshold on max_rel_err")
+    common(p, _run_gardiner_check)
 
     return parser
 
@@ -362,9 +363,9 @@ def main(argv=None) -> int:
     """Run one command line in-process; returns the exit status."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.tol <= 0:
+        if "tol" in args and args.tol <= 0:
             raise ValueError("tol must be positive")
-        if args.max_depth < 1:
+        if "max_depth" in args and args.max_depth < 1:
             raise ValueError("max-depth must be at least 1")
         payload, certified = args.run(args)
     except ValueError as exc:
@@ -379,7 +380,8 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.require_certified and not certified:
+    # only the searches can return uncertified results, and only they take the flag
+    if not certified and args.require_certified:
         print("error: result was not certified at the requested tolerance", file=sys.stderr)
         return 3
     return 0

@@ -552,13 +552,12 @@ def normalized_length_functional(
     base: MarkovPoint,
     point: MarkovPoint,
     lam: WeightedLamination,
-    tol: float = 1e-6,
     max_depth: int = 12,
 ) -> float:
     """Length of lam at ``point`` divided by the best Lipschitz stretch from base.
 
     The normalizer is exp of the directed distance base -> point, i.e. the
-    sup ratio itself.
+    sup ratio itself, from the exhaustive sweep to max_depth.
     """
-    stretch = thurston_distance(base, point, tol=tol, max_depth=max_depth).value
+    stretch = thurston_distance(base, point, max_depth=max_depth).value
     return length(point, lam) / stretch

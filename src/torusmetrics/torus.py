@@ -302,15 +302,15 @@ def teich_distance_enum(
 
     The search jumps along rays of slopes (see supratio), so a deep argmax
     costs few evaluations and max_depth is only a cap.  Raises OverflowError
-    when 1/y of either point or the supremum e^(2d) is not a finite float.
+    when an entry of either extremal-length form or the supremum e^(2d) is not
+    a finite float.
     """
-    for tau in (tau1, tau2):
-        if 1.0 / tau.y == math.inf:
-            raise OverflowError(f"extremal lengths of size 1/y overflow at y = {tau.y!r}")
-    if 2.0 * teich_distance_oracle(tau1, tau2) > _LOG_FLOAT_MAX:
-        raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
     a = _q_form(tau2)
     b = _q_form(tau1)
+    if not all(map(math.isfinite, a + b)):
+        raise OverflowError(f"the extremal-length forms of {tau1} and {tau2} overflow")
+    if 2.0 * teich_distance_oracle(tau1, tau2) > _LOG_FLOAT_MAX:
+        raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
 
     def objective(s: Slope) -> float:
         u = direction(s.p, s.q)

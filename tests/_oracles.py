@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 library code under test: finite differences for gradients, exhaustive
 level-by-level tree walks for suprema, direct lattice geometry for
-intersection numbers, and scipy for hulls and generalized eigenvalues.
+intersection numbers, exact rational arithmetic for the trace recursion,
+and scipy for hulls and generalized eigenvalues.
 The flat-torus norm's closed form is cross-checked against its certified
 sup over rational slopes, found by the Farey engine.
 """
@@ -11,6 +12,7 @@ sup over rational slopes, found by the Farey engine.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -240,6 +242,34 @@ def norm_objective_reference(v):
         return (f * u[0] * v.wx + f * u[1] * v.wy + f * u[2] * v.wz) / ell_from_log_reference(lt)
 
     return objective
+
+
+def exact_length(point, slope) -> float:
+    """Length of the slope's curve from t_m = t_a t_b - t_c in exact arithmetic.
+
+    The recursion runs in Fraction on the point's float trace triple (x at
+    1/0, y at 0/1, z at 1/1), down the Stern-Brocot path of the slope, so
+    no cancellation is lost; only the final trace is rounded to a float.
+    """
+    x, y, z = (Fraction(v) for v in (point.x, point.y, point.z))
+    target = (slope.p, slope.q)
+    if target in ((1, 0), (0, 1)):
+        t = x if target == (1, 0) else y
+    else:
+        # a cell's endpoints (left, right) with traces tl, tr and its opposite vertex's tc
+        if slope.p >= 0:
+            left, tl, right, tr, tc = (0, 1), y, (1, 0), x, x * y - z
+        else:
+            left, tl, right, tr, tc = (-1, 0), x, (0, 1), y, z
+        while True:
+            mid, t = (left[0] + right[0], left[1] + right[1]), tl * tr - tc
+            if mid == target:
+                break
+            if target[0] * mid[1] - target[1] * mid[0] < 0:
+                right, tr, tc = mid, t, tr
+            else:
+                left, tl, tc = mid, t, tl
+    return 2.0 * math.acosh(float(t) / 2.0)
 
 
 # -- explicit holonomy representation of a cusped punctured torus -------------

@@ -115,11 +115,14 @@ class TestDistTeich:
     @pytest.mark.parametrize(
         "src, dst",
         [("2.225073858507203e-309i", "i"), ("1e-300i", "1e300i"),
-         ("2.2e-309i", "3e-309i")],
-        ids=["subnormal-y", "ratio-overflows", "subnormal-y-both"],
+         ("2.2e-309i", "3e-309i"),
+         ("7.57711401583171e+169+0.3236965357034844i",
+          "3.51894288113125e+169+8.201004751305414e+169i")],
+        ids=["subnormal-y", "ratio-overflows", "subnormal-y-both", "form-overflows"],
     )
     def test_numeric_fault_exits_1_with_one_error_line(self, capsys, src, dst):
-        # 1/y or the supremum e^(2d) overflows: valid input, so not exit 2
+        # an extremal-length form or the supremum e^(2d) overflows: valid
+        # input, so not exit 2
         assert main(["dist-teich", "--from", src, "--to", dst]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -354,7 +357,7 @@ class TestExperiments:
         # list options are split by the runners, so bad items exit 2 as well
         for command, base in (("converge-boundary", "3,3,3"), ("converge-gm", "i")):
             for bad in (["--ks", "x"], ["--slopes", "0/1,1"], ["--slopes", "0/1,1/x"]):
-                assert main([command, "--base", base, *bad, "--max-depth", "6"]) == 2
+                assert main([command, "--base", base, *bad]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("error:") and err.count("\n") == 1
 
@@ -439,6 +442,34 @@ class TestJsonOnlyCommands:
     def test_explicit_json_still_works(self, command, capsys):
         assert main([command, *JSON_ONLY[command], "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["command"] == command
+
+
+# the options of the searches, which the closed-form commands do not take
+REMOVED_FLAGS = [
+    (command, flag)
+    for command in ("norm-teich", "dual-sphere", "converge-gm")
+    for flag in (["--tol", "1e-3"], ["--max-depth", "6"], ["--require-certified"])
+] + [("gardiner-check", ["--max-depth", "6"]), ("gardiner-check", ["--require-certified"])]
+CLOSED_FORM_ARGS = {
+    "norm-teich": ["--at", "i", "--vx", "1", "--vy", "0"],
+    "dual-sphere": ["--at", "i", "--samples", "8"],
+    "converge-gm": ["--base", "i", "--ks", "2"],
+    "gardiner-check": ["--at", "i", "--samples", "5"],
+}
+
+
+class TestClosedFormOptions:
+    @pytest.mark.parametrize(
+        "command, flag", REMOVED_FLAGS, ids=[f"{c} {f[0]}" for c, f in REMOVED_FLAGS])
+    def test_search_option_is_rejected_by_the_parser(self, command, flag):
+        env = dict(os.environ, PYTHONPATH=str(Path(torusmetrics.__file__).resolve().parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusmetrics", command, *CLOSED_FORM_ARGS[command], *flag],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"unrecognized arguments: {' '.join(flag)}" in proc.stderr
 
 
 class TestModuleEntryPoints:

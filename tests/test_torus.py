@@ -365,11 +365,14 @@ class TestDistanceEnum:
     @pytest.mark.parametrize(
         "t1, t2",
         [((0.0, 2.225073858507203e-309), (0.0, 1.0)), ((0.0, 1e-300), (0.0, 1e300)),
-         ((0.0, 2.2e-309), (0.0, 3e-309))],
-        ids=["subnormal-y", "ratio-overflows", "subnormal-y-both"],
+         ((0.0, 2.2e-309), (0.0, 3e-309)),
+         ((7.57711401583171e+169, 0.3236965357034844),
+          (3.51894288113125e+169, 8.201004751305414e+169))],
+        ids=["subnormal-y", "ratio-overflows", "subnormal-y-both", "form-overflows"],
     )
     def test_overflow_is_raised_as_overflow(self, t1, t2):
-        # 1/y or the supremum e^(2d) is not a finite float
+        # an entry of an extremal-length form (1/y, |tau|^2/y) or the
+        # supremum e^(2d) is not a finite float
         with pytest.raises(OverflowError):
             teich_distance_enum(TorusPoint(*t1), TorusPoint(*t2))
 
