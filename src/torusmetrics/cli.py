@@ -37,11 +37,10 @@ def _engine_meta(res: SupRatioResult, args: argparse.Namespace) -> dict:
 
 def _note_cut_sweep(res: SupRatioResult, args: argparse.Namespace) -> None:
     """Say on stderr when max_evals stopped an exhaustive sweep short of max_depth."""
-    # slopes of depth <= max_depth (see farey.enumerate_slopes); past depth 64
-    # the count is far beyond max_evals, and too long to build or print in full
-    full = 3 * 2 ** min(args.max_depth, 64)
-    if res.evals < full:
-        total = full if args.max_depth <= 64 else f"3*2^{args.max_depth}"
+    if res.hit_eval_cap:
+        # slopes of depth <= max_depth (see farey.enumerate_slopes); past depth
+        # 64 the count is too long to build or print in full
+        total = 3 * 2 ** args.max_depth if args.max_depth <= 64 else f"3*2^{args.max_depth}"
         print(
             f"note: max_evals stopped the sweep at depth {res.depth_reached} of "
             f"{args.max_depth} after {res.evals} of {total} evaluations",
@@ -363,8 +362,8 @@ def main(argv=None) -> int:
     """Run one command line in-process; returns the exit status."""
     args = _build_parser().parse_args(argv)
     try:
-        if "tol" in args and args.tol <= 0:
-            raise ValueError("tol must be positive")
+        if "tol" in args and not 0 < args.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if "max_depth" in args and args.max_depth < 1:
             raise ValueError("max-depth must be at least 1")
         payload, certified = args.run(args)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 __all__ = [
     "Slope",
@@ -314,57 +315,82 @@ def _fan(bp, bq, ap, aq, steps, depth, sign, s_base, s_end, s_axis, s_prev) -> t
 # 2**d cells below the root interval 0/1 < 1/0 at depth d >= 1) and the
 # mirrored block (the 2**(d-1) cells below the mirrored root, from depth 2 on).
 # Each block keeps its cells left to right as three parallel state lists: at
-# the left endpoints, at the right endpoints and at the opposite vertices.
+# the left endpoints, at the right endpoints and at the opposite vertices,
+# and, once a cell was dropped, a fourth list of the kept cells' paths.
 
 
 def sweep(roots: tuple, combine, max_depth: int, budget):
+    """sweep_blocks without pruning, each tier given as its blocks' state lists."""
+    for depth, tier in sweep_blocks(roots, combine, max_depth, budget):
+        yield depth, tier if depth == 0 else [states for _, _, states in tier]
+
+
+def sweep_blocks(roots: tuple, combine, max_depth: int, budget, prune=None):
     """Yield the mediant states of the sweep down to max_depth, tier by tier.
 
     The first item is (0, [states at 0/1, 1/0, 1/1, -1/1]); then comes
-    (depth, blocks) for depth 1..max_depth, blocks holding the mediant states
-    of the positive block and, from depth 2, of the mirrored block, left to
-    right.  Only the first ``budget`` mediants below the roots are combined
-    and yielded, in that order; a block the budget does not reach is left
-    out, so no yielded block is empty.
+    (depth, tier) for depth 1..max_depth, tier holding (block, paths,
+    states) for the positive block (0) and, from depth 2, the mirrored one
+    (1): its mediant states left to right, and their paths (see tier_slope),
+    or None while the block has all its cells.  ``prune(left, right, opp)``,
+    if given, flags the cells of each block to keep (None: all of them)
+    before their mediants are combined; a dropped cell's subtree is never
+    visited.  Only the first ``budget`` kept mediants below the roots are
+    combined and yielded, in that order, and the generator returns whether
+    the budget left one out.  A block with no cell to yield is left out.
     """
     s0, s_inf, s1 = roots
     s_neg = combine(s_inf, s0, s1)
     yield 0, [s0, s_inf, s1, s_neg]
-    blocks = [([s0, s1], [s1, s_inf], [s_inf, s0])]
-    mirrored = ([s0, s_neg], [s_neg, s_inf], [s_inf, s0])
+    blocks = [(0, None, [s0, s1], [s1, s_inf], [s_inf, s0])]
+    mirrored = (1, None, [s0, s_neg], [s_neg, s_inf], [s_inf, s0])
     for depth in range(1, max_depth + 1):
         if depth == 2:
             blocks.append(mirrored)
+        if prune is not None:
+            blocks = [kept for kept in (_prune(block, prune) for block in blocks) if kept[2]]
+        cut = sum(len(block[2]) for block in blocks) > budget
+        if not blocks or budget == 0:
+            return cut
         tier = []
-        for left, right, opp in blocks:
+        for block, paths, left, right, opp in blocks:
             n = min(len(left), budget)
             if n == 0:
                 break
             # a block's last cell is n/1 below 1/0, whose left endpoint comes
             # first among its Farey parents (see slope_parents)
-            last = n == len(left)
+            last = n == len(left) and (paths is None or paths[-1] == (1 << depth - block) - 1)
             k = n - 1 if last else n
             mids = list(map(combine, right[:k], left[:k], opp[:k]))
             if last:
                 mids.append(combine(left[k], right[k], opp[k]))
-            tier.append(mids)
+            tier.append((block, paths, mids))
             budget -= n
-        if not tier:
-            return
         yield depth, tier
-        if budget == 0 or depth == max_depth:
-            return
-        blocks = [_children(*block, mids) for block, mids in zip(blocks, tier)]
+        if cut or depth == max_depth:
+            return cut
+        blocks = [_children(*block, mids) for block, (_, _, mids) in zip(blocks, tier)]
 
 
-def _children(left: list, right: list, opp: list, mids: list) -> tuple[list, list, list]:
+def _prune(block: tuple, prune) -> tuple:
+    """The block without the cells prune drops."""
+    keep = prune(*block[2:])
+    if keep is None or all(keep):
+        return block
+    number, paths, *lists = block
+    return (number, *(list(compress(cells, keep)) for cells in (paths or range(len(keep)), *lists)))
+
+
+def _children(block: int, paths, left: list, right: list, opp: list, mids: list) -> tuple:
     """The next tier of a block: each cell splits at its mediant into two."""
     size = 2 * len(mids)
     left2, right2, opp2 = [None] * size, [None] * size, [None] * size
     left2[0::2], left2[1::2] = left, mids
     right2[0::2], right2[1::2] = mids, right
     opp2[0::2], opp2[1::2] = right, left
-    return left2, right2, opp2
+    if paths is not None:
+        paths = [2 * i + j for i in paths for j in (0, 1)]
+    return block, paths, left2, right2, opp2
 
 
 def tier_slope(depth: int, block: int, index: int) -> Slope:

@@ -391,7 +391,8 @@ def _subtree_ratio_bound(left: tuple, right: tuple, opp: tuple) -> float:
     """
     lta, ltb = left[0], right[0]
     g = math.exp(opp[0] - lta - ltb)
-    decay = math.log1p(-g)
+    # g >= 1: the mediant is degenerate, and its own evaluation says so
+    decay = math.log1p(-g) if g < 1.0 else -math.inf
     la = 2.0 * (lta + decay)
     lb = 2.0 * (ltb + decay)
     lm = lta + ltb + decay
@@ -459,20 +460,21 @@ def thurston_distance(
 ) -> SupRatioResult:
     """Sup of length ratios ell_dst/ell_src over slopes; distance = log(value).
 
-    By default the engine sweeps the tree exhaustively to ``max_depth`` and
-    reports certified = False with the empirical stabilization depth.  With
-    ``certified_bound`` a best-first search pruned by _subtree_ratio_bound
-    certifies tight tolerances, except that cells on a ray of slopes that
-    converges to a rational argmax (such as -1/1, 1/1, 2/3 or 1/2) close
-    only like 1/depth, so such an argmax can stop uncertified at
-    ``max_depth``.
+    By default the engine sweeps the tree to ``max_depth``, less the cells
+    _subtree_ratio_bound puts below the shallower tiers' best ratio (which
+    changes only ``evals``), and reports certified = False with the
+    empirical stabilization depth.  With ``certified_bound`` a best-first
+    search pruned by the same bound certifies tight tolerances, except that
+    cells on a ray of slopes that converges to a rational argmax (such as
+    -1/1, 1/1, 2/3 or 1/2) close only like 1/depth, so such an argmax can
+    stop uncertified at ``max_depth``.
     """
     pairs = ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z))  # at 0/1, 1/0, 1/1
     roots = tuple((math.log(tx), math.log(ty)) for tx, ty in pairs)
-    bound = _subtree_ratio_bound if certified_bound else None
     return maximize(
-        SupQuery(_length_ratio, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
-                 roots=roots, combine=_pair_step)
+        SupQuery(_length_ratio, _subtree_ratio_bound, tolerance=tol, max_depth=max_depth,
+                 max_evals=max_evals, roots=roots, combine=_pair_step,
+                 exhaustive=not certified_bound)
     )
 
 

@@ -9,9 +9,14 @@ reports honestly that nothing was certified, along with the depth at which
 the value empirically stabilized.  Both modes carry a per-slope state
 down the tree (by default the slope itself), so objectives built on a
 recursion over Farey triangles cost O(1) per slope.  The exhaustive sweep
-goes one tier (one depth) at a time (see farey.sweep): one combine and one
-objective call per slope over flat lists, and the argmax is resolved only
-on tiers whose maximum beats the best value so far.
+goes one tier (one depth) at a time (see farey.sweep_blocks): one combine
+and one objective call per slope over flat lists, and the argmax is
+resolved only on tiers whose maximum beats the best value so far.
+
+Given a bound, the sweep drops every cell bounded below the best value of
+the shallower tiers (less a rounding margin): its slopes could neither win,
+tie nor raise a per-depth maximum past the running one, so the result is
+the full sweep's except for ``evals`` and ``depth_reached``.
 
 A query may also give a ``ray`` hook.  Each cell's subtree is then read as
 the ray of slopes base + j*axis out of its older endpoint (the axis) plus
@@ -34,10 +39,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .farey import (
-    SLOPE_ROOTS, Slope, add_slopes, jump, mediant_state, root_cells, split, sweep, tier_slope,
+    SLOPE_ROOTS, Slope, add_slopes, jump, mediant_state, root_cells, split, sweep_blocks,
+    tier_slope,
 )
 
 __all__ = ["SupQuery", "SupRatioResult", "maximize"]
+
+# Relative slack below the best value before the sweep drops a cell, so that a
+# bound that rounds a few ulps under the values it covers still keeps them.
+_PRUNE_MARGIN = 1e-12
 
 
 @dataclass
@@ -53,9 +63,9 @@ class SupQuery:
     (for slope states, farey.cone_directions gives the cell's cone).
 
     ``subtree_bound`` must upper-bound the objective over every slope
-    strictly inside the cell whenever it is supplied; pass None to run in
-    the uncertified exhaustive mode.  ``tolerance`` is absolute, on the
-    supremum value.
+    strictly inside the cell whenever it is supplied; pass None, or set
+    ``exhaustive``, to run in the uncertified exhaustive mode, which a bound
+    only prunes.  ``tolerance`` is absolute, on the supremum value.
 
     ``ray(s_base, s_axis, s_prev, jmax)`` is optional and needs a bound.  It
     picks the slope base + j*axis, 1 <= j <= jmax, to evaluate on a
@@ -76,10 +86,11 @@ class SupQuery:
     roots: Optional[tuple] = None
     combine: Optional[Callable] = None
     ray: Optional[Callable] = None
+    exhaustive: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if self.max_evals < 4:
@@ -96,8 +107,9 @@ class SupQuery:
 class SupRatioResult:
     """The supremum found, with how it was obtained.
 
+    ``evals`` counts the objective calls made, which max_evals caps.
     ``depth_reached`` is the deepest tree depth at which a slope was
-    evaluated; ``hit_eval_cap`` says a certified search stopped at max_evals.
+    evaluated; ``hit_eval_cap`` says max_evals left a cell or slope open.
     Both stay out of the JSON payload.
     """
 
@@ -145,6 +157,7 @@ class _Search:
         self.best_value = -math.inf
         self.best_key: Optional[tuple] = None
         self.depth_max: dict[int, float] = {}
+        self.floor: Optional[float] = None
 
     def evaluate(self, p: int, q: int, depth: int, state) -> None:
         v = self.query.objective(state)
@@ -159,11 +172,11 @@ class _Search:
             self.best_value = v
             self.best_key = key
 
-    def evaluate_tier(self, depth: int, blocks: list) -> None:
+    def evaluate_tier(self, depth: int, tier: list) -> None:
         """Evaluate one sweep tier: the mediant states of each block, left to right."""
         objective = self.query.objective
-        tier = []
-        for block, states in enumerate(blocks):
+        tier_values = []
+        for block, paths, states in tier:
             values = list(map(objective, states))
             try:
                 finite = all(map(math.isfinite, values))
@@ -171,22 +184,34 @@ class _Search:
                 finite = False
             if not finite:
                 i = next(i for i, v in enumerate(values) if _bad_value(v))
-                raise _non_finite(values[i], tier_slope(depth, block, i))
-            tier.append(values)
-        self.evals += sum(map(len, tier))
-        top = max(map(max, tier))
+                raise _non_finite(values[i], tier_slope(depth, block, paths[i] if paths else i))
+            tier_values.append(values)
+        self.evals += sum(map(len, tier_values))
+        top = max(map(max, tier_values))
         if top > self.depth_max.get(depth, -math.inf):
             self.depth_max[depth] = float(top)
         # the argmax so far is shallower, or is -1/1, the smallest slope of
         # depth 1, so only a strictly larger value displaces it
         if top > self.best_value:
             slope, v = min(
-                ((tier_slope(depth, block, i), values[i])
-                 for block, values in enumerate(tier) for i in _indices(values, top)),
+                ((tier_slope(depth, block, paths[i] if paths else i), v)
+                 for (block, paths, _), values in zip(tier, tier_values)
+                 for i, v in enumerate(values) if v == top),
                 key=lambda candidate: candidate[0],
             )
             self.best_value = v = float(v)
             self.best_key = (-v, depth, slope.p, slope.q)
+        # the next tier drops the cells bounded below the best value so far,
+        # unless this tier reached it, as in a self-distance: few would go
+        best = self.best_value
+        self.floor = None if self.depth_max[depth] >= best else best - _PRUNE_MARGIN * abs(best)
+
+    def prune(self, left: list, right: list, opp: list) -> Optional[list]:
+        """Flags for the cells of a sweep block to keep, or None to keep them all."""
+        floor = self.floor
+        if floor is None:
+            return None
+        return [not b < floor for b in map(self.query.subtree_bound, left, right, opp)]
 
     def result(self, certified: bool, frontier_bound: Optional[float],
                hit_eval_cap: bool = False) -> SupRatioResult:
@@ -211,17 +236,6 @@ class _Search:
         )
 
 
-def _indices(values: list, v) -> list[int]:
-    """Every index of v in values."""
-    out, i = [], -1
-    try:
-        while True:
-            i = values.index(v, i + 1)
-            out.append(i)
-    except ValueError:
-        return out
-
-
 # (p, q, depth) of the slopes in the sweep's root tier, in evaluation order
 _ROOT_TIER = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
 
@@ -229,7 +243,7 @@ _ROOT_TIER = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
 def maximize(query: SupQuery) -> SupRatioResult:
     """Maximize the query objective over all slopes; see module docstring."""
     search = _Search(query)
-    if query.subtree_bound is None:
+    if query.subtree_bound is None or query.exhaustive:
         return _maximize_exhaustive(search)
     roots = query.roots
     pos, neg = root_cells(roots)
@@ -241,13 +255,18 @@ def maximize(query: SupQuery) -> SupRatioResult:
 
 def _maximize_exhaustive(search: _Search) -> SupRatioResult:
     query = search.query
-    tiers = sweep(query.roots, query.combine, query.max_depth, query.max_evals - len(_ROOT_TIER))
+    prune = None if query.subtree_bound is None else search.prune
+    tiers = sweep_blocks(query.roots, query.combine, query.max_depth,
+                         query.max_evals - len(_ROOT_TIER), prune)
     _, states = next(tiers)
     for (p, q, depth), state in zip(_ROOT_TIER, states):
         search.evaluate(p, q, depth, state)
-    for depth, blocks in tiers:
-        search.evaluate_tier(depth, blocks)
-    return search.result(certified=False, frontier_bound=None)
+    while True:
+        try:
+            depth, tier = next(tiers)
+        except StopIteration as stop:
+            return search.result(False, None, hit_eval_cap=bool(stop.value))
+        search.evaluate_tier(depth, tier)
 
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:

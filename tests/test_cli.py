@@ -181,7 +181,8 @@ class TestDistThurston:
         assert err.startswith("error: triple") and "misses the trace relation" in err
 
     def test_sweep_stopped_by_max_evals_is_noted_on_stderr(self, capsys):
-        assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--max-depth", "30"]) == 0
+        # a self-distance: every ratio is 1, so no cell is ever pruned
+        assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,3", "--max-depth", "30"]) == 0
         out, err = capsys.readouterr()
         assert json.loads(out)["engine"]["evals"] == 200_000
         assert err.splitlines() == [
@@ -191,13 +192,21 @@ class TestDistThurston:
 
     def test_note_for_a_huge_max_depth_gives_the_count_as_a_power(self, capsys):
         # 3 * 2**20000 has more digits than int-to-str conversion allows
-        assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--max-depth", "20000"]) == 0
+        assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,3", "--max-depth", "20000"]) == 0
         out, err = capsys.readouterr()
         assert json.loads(out)["engine"]["max_depth"] == 20000
         assert err.splitlines() == [
             "note: max_evals stopped the sweep at depth 17 of 20000 after 200000 of 3*2^20000 "
             "evaluations"
         ]
+
+    def test_no_note_for_a_pruned_sweep_that_finishes(self, capsys):
+        # the prune empties the tree long before depth 30, in far fewer than
+        # max_evals evaluations: nothing was cut
+        assert main(["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--max-depth", "30"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["engine"]["evals"] < 200_000
+        assert err == ""
 
     def test_no_note_for_full_sweeps_or_certified_searches(self, capsys):
         pair = ["--from", "3,3,3", "--to", "3,3,6"]
@@ -382,6 +391,17 @@ class TestExperiments:
         assert payload["max_rel_err"] <= 1e-6
 
 
+# every command that takes --tol, with small but valid other arguments
+TOL_COMMANDS = [
+    ["dist-teich", "--from", "i", "--to", "2+3i"],
+    ["dist-thurston", "--from", "3,3,3", "--to", "3,3,6", "--max-depth", "4"],
+    ["dist-thurston", "--certified-bound", "--from", "3,3,3", "--to", "3,3,6"],
+    ["norm-thurston", "--at", "3,3,6", "--vx", "1", "--vy", "0", "--max-depth", "4"],
+    ["converge-boundary", "--base", "3,3,3", "--ks", "2", "--max-depth", "4"],
+    ["gardiner-check", "--at", "i", "--samples", "5"],
+]
+
+
 class TestArgumentHandling:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -389,6 +409,14 @@ class TestArgumentHandling:
 
     def test_bad_tol_exits_2(self):
         assert main(["dist-teich", "--from", "i", "--to", "2i", "--tol", "-1"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", TOL_COMMANDS, ids=lambda argv: argv[0] + " --certified-bound" * ("--certified-bound" in argv))
+    def test_non_finite_tol_exits_2(self, capsys, argv, tol):
+        assert main([*argv, f"--tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tol must be positive and finite\n"
 
 
     @pytest.mark.parametrize(

@@ -644,8 +644,9 @@ class TestLongCurveShortcuts:
         got = list(sweep(roots, ptorus._pair_step, 12, math.inf))
         want = list(sweep(roots, pair_step_reference, 12, math.inf))
         assert got == want
-        reference = maximize(SupQuery(length_ratio_reference, None, max_depth=12,
-                                      roots=roots, combine=pair_step_reference))
+        reference = maximize(SupQuery(length_ratio_reference, ptorus._subtree_ratio_bound,
+                                      max_depth=12, roots=roots, combine=pair_step_reference,
+                                      exhaustive=True))
         # every field: value, argmax, evals, stabilization depth and the rest
         assert thurston_distance(src, dst, max_depth=12) == reference
 
@@ -715,3 +716,79 @@ class TestLongCurveShortcuts:
                 _same_call(ptorus._length_ratio, length_ratio_reference, (lx, ly))
             _same_call(ptorus._length_ratio, length_ratio_reference, (lx, 1.5))
             _same_call(ptorus._length_ratio, length_ratio_reference, (1.5, lx))
+
+
+def _unpruned(src, dst, depth):
+    """The default distance's sweep without its subtree bound: every slope to depth."""
+    return maximize(SupQuery(ptorus._length_ratio, None, max_depth=depth,
+                             roots=_pair_roots(src, dst), combine=ptorus._pair_step))
+
+
+def _pruning_panel():
+    """Seeded (src, dst, depth): chart pairs, twist orbits, near-diagonal pairs, self-distances."""
+    rng = random.Random(20261019)
+    panel = []
+    for _ in range(40):
+        panel.append((random_chart_point(rng, 3.0, 9.0), random_chart_point(rng, 3.0, 9.0)))
+    for about in (Slope(1, 0), Slope(0, 1), Slope(1, 1)):
+        for _ in range(10):
+            base = random_chart_point(rng)
+            k1, k2 = rng.sample(range(-9, 10), 2)
+            panel.append((dehn_twist(base, about, k1), dehn_twist(base, about, k2)))
+    for _ in range(30):
+        x, y = rng.uniform(3.0, 6.0), rng.uniform(3.0, 6.0)
+        rel = 10.0 ** rng.uniform(-15.0, -6.0)
+        near = from_parameters(x * (1.0 + rel * rng.uniform(-1, 1)), y * (1.0 + rel * rng.uniform(-1, 1)))
+        panel.append((from_parameters(x, y), near)[::rng.choice((1, -1))])
+    for _ in range(8):
+        point = random_chart_point(rng)
+        panel.append((point, point))
+    return [(src, dst, rng.randrange(13)) for src, dst in panel]
+
+
+class TestPrunedSweep:
+    """The default distance drops cells bounded below the shallower tiers' best value.
+
+    Everything it reports but the eval count and the depth reached must be
+    the full sweep's, bit for bit.
+    """
+
+    def test_matches_the_full_sweep(self):
+        compared = pruned_evals = full_evals = 0
+        for src, dst, depth in _pruning_panel():
+            try:
+                full = _unpruned(src, dst, depth)
+            except InvalidPointError:
+                # a twisted point the recursion wrongly rejects (ROADMAP item 7):
+                # the prune may skip the slope that trips it
+                continue
+            got = thurston_distance(src, dst, max_depth=depth)
+            assert got.evals <= full.evals, (src, dst, depth)
+            for field in ("value", "argmax", "certified", "frontier_bound",
+                          "stabilization_depth", "hit_eval_cap"):
+                assert getattr(got, field) == getattr(full, field), (field, src, dst, depth)
+            compared += 1
+            pruned_evals += got.evals
+            full_evals += full.evals
+        assert compared >= 100 and pruned_evals < full_evals / 5
+
+    def test_self_distance_makes_no_bound_calls(self, monkeypatch):
+        # every ratio is 1, so each tier reaches the best value and none is tested
+        calls = []
+        bound = ptorus._subtree_ratio_bound
+        monkeypatch.setattr(ptorus, "_subtree_ratio_bound", lambda *args: calls.append(1) or bound(*args))
+        for point in (MODULAR, MIRROR, *CHART_POINTS[:4], *TWISTED_POINTS[:2]):
+            assert thurston_distance(point, point, max_depth=10).evals == 3 * 2 ** 10
+        assert calls == []
+        thurston_distance(MODULAR, MIRROR, max_depth=10)
+        assert calls
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_degenerate_cell_is_reported_by_the_recursion(self, certified):
+        # g = t_opp / (t_a t_b) >= 1 at a cell whose mediant the recursion
+        # rejects: the bound keeps such a cell (inf) instead of failing in log1p
+        base = MarkovPoint(4.613834295128161, 4.27668226329652, 17.465920321123118)
+        src, dst = (dehn_twist(base, Slope(1, 1), k) for k in (-8, -7))
+        with pytest.raises(InvalidPointError, match="trace recursion degenerated"):
+            thurston_distance(src, dst, tol=1e-3, max_depth=2000 if certified else 12,
+                              certified_bound=certified)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from torusmetrics import ptorus
-from torusmetrics.farey import Slope, enumerate_slopes, path_state
+from torusmetrics.farey import Slope, cone_directions, enumerate_slopes, path_state
 from torusmetrics.ptorus import (
     TraceCache,
     from_parameters,
@@ -169,6 +169,11 @@ class TestErrorHandling:
         with pytest.raises(ValueError, match="ray hook needs a subtree bound"):
             SupQuery(lambda s: 1.0, None, ray=lambda s_base, s_axis, s_prev, jmax: None)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_is_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SupQuery(lambda s: 1.0, None, tolerance=tol)
+
     @pytest.mark.parametrize("step", [0, 2])
     def test_ray_step_outside_the_cap_is_rejected(self, step):
         # at max_depth 1 a popped depth-1 cell allows only j = 1
@@ -210,7 +215,10 @@ class TestTierSweepEquivalence:
 
     The reference visits the slopes of enumerate_slopes in the engine's
     evaluation order, takes each state from path_state (the root-to-slope
-    walk), and keeps the smallest key (-v, depth, p, q).
+    walk), and keeps the smallest key (-v, depth, p, q).  Given a subtree
+    bound, it skips the slopes of every cell whose bound lies below the best
+    value of the shallower tiers, less 1e-12 of it, unless the tier above
+    reached that value (the root tier always does).
     """
 
     DEPTH = 8
@@ -225,12 +233,46 @@ class TestTierSweepEquivalence:
         assert order[3] == (Slope(-1, 1), 1)
         return order
 
+    @staticmethod
+    def cell_of(slope):
+        """The tree cells down to the one whose mediant is slope, as (left, right, opp).
+
+        Endpoints are positive-tree slopes, mirrored for the negative block;
+        the mirrored root's opposite vertex is 1/1, mirrored -1/1.
+        """
+        p, q = abs(slope.p), slope.q
+        cell = (Slope(0, 1), Slope(1, 0), None if slope.p > 0 else Slope(-1, 1))
+        path = [cell]
+        while True:
+            left, right, _ = cell
+            m = Slope(left.p + right.p, left.q + right.q)
+            if (m.p, m.q) == (p, q):
+                return path
+            cell = (left, m, right) if p * m.q < q * m.p else (m, right, left)
+            path.append(cell)
+
     @classmethod
     def naive_values(cls, query):
-        values = []
-        for slope, depth in cls.engine_order():
-            state = path_state(slope, query.roots, query.combine)
-            values.append((query.objective(state), depth, slope))
+        def state(s):
+            return path_state(s if sign > 0 else s.mirrored(), query.roots, query.combine)
+
+        values, kept, depth_max, best, floor = [], set(), {}, -math.inf, None
+        for i, (slope, depth) in enumerate(cls.engine_order()):
+            if i >= 4 and query.subtree_bound is not None:
+                if depth > values[-1][1]:  # the first slope of a tier
+                    top = depth_max.get(depth - 1, -math.inf)
+                    floor = None if top >= best else best - 1e-12 * abs(best)
+                sign = 1 if slope.p > 0 else -1
+                *parents, cell = [(sign, c) for c in cls.cell_of(slope)]
+                if len(parents) > 1 and parents[-1] not in kept:
+                    continue
+                if floor is not None and query.subtree_bound(*map(state, cell[1])) < floor:
+                    continue
+                kept.add(cell)
+            v = query.objective(path_state(slope, query.roots, query.combine))
+            values.append((v, depth, slope))
+            depth_max[depth] = max(depth_max.get(depth, -math.inf), v)
+            best = max(best, v)
         return values
 
     @staticmethod
@@ -309,6 +351,43 @@ class TestTierSweepEquivalence:
             assert (res.value, res.argmax) == (1.0, Slope(0, 1))
             assert res.evals == (3 * 2 ** depth if depth else 4)
         assert thurston_distance(point, point, max_depth=12, max_evals=1000).evals == 1000
+
+
+class TestPrunedSweep:
+    """An exhaustive query with a bound drops cells that cannot reach the best value."""
+
+    def test_margin_keeps_a_bound_that_rounds_low(self):
+        # the peak 2/5 beats the root 0/1 by one ulp, and the bound over the
+        # cells above it rounds a few ulps under the peak, so under 0/1's value
+        peak, top = Slope(2, 5), math.nextafter(2.0, 3.0)
+
+        def obj(s):
+            return top if s == peak else 2.0 if s == Slope(0, 1) else 1.0
+
+        def bound(left, right, opp):
+            (up, uq), (vp, vq) = cone_directions(left, right, opp)
+            det = up * vq - uq * vp
+            inside = (peak.p * vq - peak.q * vp) / det >= 1 and (up * peak.q - uq * peak.p) / det >= 1
+            return (top if inside else 1.0) * (1.0 - 2.0 ** -50)
+
+        res = maximize(SupQuery(obj, bound, max_depth=6, exhaustive=True))
+        assert (res.value, res.argmax) == (top, peak)
+        assert res.evals < 3 * 2 ** 6
+
+    def test_eval_cap_flag_says_whether_a_kept_cell_was_left_out(self):
+        obj = lambda s: 1.0 / (1.0 + s.q)
+        full = 3 * 2 ** 5
+        assert not maximize(SupQuery(obj, None, max_depth=5, max_evals=full)).hit_eval_cap
+        assert maximize(SupQuery(obj, None, max_depth=5, max_evals=full - 1)).hit_eval_cap
+        # the budget ends with a tier, and the next one still has cells
+        assert maximize(SupQuery(obj, None, max_depth=6, max_evals=full)).hit_eval_cap
+        # past depth 1 every value is at most 1/2, so the bound 1/2 drops every
+        # cell of depth 2 against the best value 1 at 1/0: nothing is left out
+        pruned = maximize(SupQuery(obj, constant_bound(0.5), max_depth=5, max_evals=6,
+                                   exhaustive=True))
+        assert (pruned.evals, pruned.hit_eval_cap) == (6, False)
+        assert maximize(SupQuery(obj, constant_bound(0.5), max_depth=5, max_evals=5,
+                                 exhaustive=True)).hit_eval_cap
 
 
 class TestNonFiniteOnEitherBlock:
