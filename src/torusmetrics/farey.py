@@ -14,7 +14,7 @@ The sup engine carries a caller-defined state per slope down the tree, so a
 recursion over Farey triangles costs O(1) per slope; the plainest state is
 the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  Its exhaustive mode
 sweeps the tree one tier (one depth) at a time over parallel lists of states
-(``sweep``); the certified mode and random access to one slope
+(``sweep_blocks``, which a bound may prune); the certified mode and random access to one slope
 (``path_state``) walk plain tuple cells (``split``) with the same combine,
 operand order included, so all three agree bit for bit.  Given a ray hook,
 the certified mode instead pops each cell along a ray of slopes, keeping
