@@ -35,14 +35,14 @@ def _engine_meta(res: SupRatioResult, args: argparse.Namespace) -> dict:
     return meta
 
 
-def _note_cut_sweep(res: SupRatioResult, args: argparse.Namespace) -> None:
+def _note_cut_sweep(res: SupRatioResult, args: argparse.Namespace, where: str = "") -> None:
     """Say on stderr when max_evals stopped an exhaustive sweep short of max_depth."""
     if res.hit_eval_cap:
         # slopes of depth <= max_depth (see farey.enumerate_slopes); past depth
         # 64 the count is too long to build or print in full
         total = 3 * 2 ** args.max_depth if args.max_depth <= 64 else f"3*2^{args.max_depth}"
         print(
-            f"note: max_evals stopped the sweep at depth {res.depth_reached} of "
+            f"note: max_evals stopped the sweep{where} at depth {res.depth_reached} of "
             f"{args.max_depth} after {res.evals} of {total} evaluations",
             file=sys.stderr,
         )
@@ -167,6 +167,7 @@ def _run_converge_boundary(args: argparse.Namespace):
         except OverflowError as exc:
             raise ValueError(f"--ks {k}: {exc}") from exc
         res = ptorus.thurston_distance(base, point, tol=args.tol, max_depth=args.max_depth)
+        _note_cut_sweep(res, args, f" for k={k}")
         stretch = res.value
         certified = certified and res.certified
         for s in lams:
@@ -240,6 +241,8 @@ def _run_converge_gm(args: argparse.Namespace):
 def _run_gardiner_check(args: argparse.Namespace):
     at = torus.TorusPoint.parse(args.at)
     n = args.samples
+    if n < 1:
+        raise ValueError("samples must be at least 1")
     rng = random.Random(args.seed)
     slopes = enumerate_slopes(6)
     worst = 0.0

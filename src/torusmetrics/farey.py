@@ -12,20 +12,19 @@ class and avoids double counting.
 
 The sup engine carries a caller-defined state per slope down the tree, so a
 recursion over Farey triangles costs O(1) per slope; the plainest state is
-the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  Its exhaustive mode
-sweeps the tree one tier (one depth) at a time over parallel lists of states
-(``sweep_blocks``, which a bound may prune); the certified mode and random access to one slope
-(``path_state``) walk plain tuple cells (``split``) with the same combine,
-operand order included, so all three agree bit for bit.  Given a ray hook,
-the certified mode instead pops each cell along a ray of slopes, keeping
-what it skips as a fan (``jump``).
+the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  Its certified mode
+and random access to one slope (``path_state``) walk plain tuple cells
+(``split``) with the combine and operand order of ``mediant_state``; the
+exhaustive mode's tier loop lives in supratio and keeps that order, so all
+three agree bit for bit.  Given a ray hook, the certified mode instead pops
+each cell along a ray of slopes, keeping what it skips as a fan (``jump``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from operator import add, neg
 
 __all__ = [
     "Slope",
@@ -309,107 +308,8 @@ def _fan(bp, bq, ap, aq, steps, depth, sign, s_base, s_end, s_axis, s_prev) -> t
     return (bp, bq, ep, eq, depth + 1, sign, s_base, s_end, s_axis)
 
 
-# -- the exhaustive sweep, one tier at a time -----------------------------------
-#
-# A tier is every cell of one depth, in two blocks: the positive block (the
-# 2**d cells below the root interval 0/1 < 1/0 at depth d >= 1) and the
-# mirrored block (the 2**(d-1) cells below the mirrored root, from depth 2 on).
-# Each block keeps its cells left to right as three parallel state lists: at
-# the left endpoints, at the right endpoints and at the opposite vertices,
-# and, once a cell was dropped, a fourth list of the kept cells' paths.
-
-
-def sweep(roots: tuple, combine, max_depth: int, budget):
-    """sweep_blocks without pruning, each tier given as its blocks' state lists."""
-    for depth, tier in sweep_blocks(roots, combine, max_depth, budget):
-        yield depth, tier if depth == 0 else [states for _, _, states in tier]
-
-
-def sweep_blocks(roots: tuple, combine, max_depth: int, budget, prune=None):
-    """Yield the mediant states of the sweep down to max_depth, tier by tier.
-
-    The first item is (0, [states at 0/1, 1/0, 1/1, -1/1]); then comes
-    (depth, tier) for depth 1..max_depth, tier holding (block, paths,
-    states) for the positive block (0) and, from depth 2, the mirrored one
-    (1): its mediant states left to right, and their paths (see tier_slope),
-    or None while the block has all its cells.  ``prune(left, right, opp)``,
-    if given, flags the cells of each block to keep (None: all of them)
-    before their mediants are combined; a dropped cell's subtree is never
-    visited.  Only the first ``budget`` kept mediants below the roots are
-    combined and yielded, in that order, and the generator returns whether
-    the budget left one out.  A block with no cell to yield is left out.
-    """
-    s0, s_inf, s1 = roots
-    s_neg = combine(s_inf, s0, s1)
-    yield 0, [s0, s_inf, s1, s_neg]
-    blocks = [(0, None, [s0, s1], [s1, s_inf], [s_inf, s0])]
-    mirrored = (1, None, [s0, s_neg], [s_neg, s_inf], [s_inf, s0])
-    for depth in range(1, max_depth + 1):
-        if depth == 2:
-            blocks.append(mirrored)
-        if prune is not None:
-            blocks = [kept for kept in (_prune(block, prune) for block in blocks) if kept[2]]
-        cut = sum(len(block[2]) for block in blocks) > budget
-        if not blocks or budget == 0:
-            return cut
-        tier = []
-        for block, paths, left, right, opp in blocks:
-            n = min(len(left), budget)
-            if n == 0:
-                break
-            # a block's last cell is n/1 below 1/0, whose left endpoint comes
-            # first among its Farey parents (see slope_parents)
-            last = n == len(left) and (paths is None or paths[-1] == (1 << depth - block) - 1)
-            k = n - 1 if last else n
-            mids = list(map(combine, right[:k], left[:k], opp[:k]))
-            if last:
-                mids.append(combine(left[k], right[k], opp[k]))
-            tier.append((block, paths, mids))
-            budget -= n
-        yield depth, tier
-        if cut or depth == max_depth:
-            return cut
-        blocks = [_children(*block, mids) for block, (_, _, mids) in zip(blocks, tier)]
-
-
-def _prune(block: tuple, prune) -> tuple:
-    """The block without the cells prune drops."""
-    keep = prune(*block[2:])
-    if keep is None or all(keep):
-        return block
-    number, paths, *lists = block
-    return (number, *(list(compress(cells, keep)) for cells in (paths or range(len(keep)), *lists)))
-
-
-def _children(block: int, paths, left: list, right: list, opp: list, mids: list) -> tuple:
-    """The next tier of a block: each cell splits at its mediant into two."""
-    size = 2 * len(mids)
-    left2, right2, opp2 = [None] * size, [None] * size, [None] * size
-    left2[0::2], left2[1::2] = left, mids
-    right2[0::2], right2[1::2] = mids, right
-    opp2[0::2], opp2[1::2] = right, left
-    if paths is not None:
-        paths = [2 * i + j for i in paths for j in (0, 1)]
-    return block, paths, left2, right2, opp2
-
-
-def tier_slope(depth: int, block: int, index: int) -> Slope:
-    """The slope of the cell at ``index`` in a sweep tier's block (0 positive, 1 mirrored).
-
-    The index read in binary is the cell's path below its block's root,
-    0 for a left and 1 for a right child; the mirrored root sits at depth 1.
-    """
-    lp, lq, rp, rq = 0, 1, 1, 0
-    for k in reversed(range(depth - block)):
-        if index >> k & 1:
-            lp, lq = lp + rp, lq + rq
-        else:
-            rp, rq = lp + rp, lq + rq
-    return Slope._unchecked(-(lp + rp) if block else lp + rp, lq + rq)
-
-
 def path_state(slope: Slope, roots: tuple, combine):
-    """The state at one slope, combined down its path: bit-identical to sweep's."""
+    """The state at one slope, combined down its path: bit-identical to the engine's."""
     p, q = slope.p, slope.q
     if p == 0 or q == 0:  # 0/1 or 1/0
         return roots[p]
@@ -436,12 +336,23 @@ def enumerate_slopes(max_depth: int) -> list[Slope]:
             f"enumeration to depth {max_depth} would produce {3 * 2 ** max_depth} slopes; "
             f"the supported limit is depth {MAX_ENUM_DEPTH}"
         )
-    tiers = sweep(SLOPE_ROOTS, add_slopes, max_depth, math.inf)
-    _, (s0, s_inf, s1, s_neg) = next(tiers)
-    out = [s0, s_inf, s1]
-    for depth, blocks in tiers:
-        out += blocks[0]
-        out += [s_neg] if depth == 1 else blocks[1]  # -1/1 follows 1/2 and 2/1
+    out = [Slope(0, 1), Slope(1, 0), Slope(1, 1)]
+    seq_p, seq_q = [0, 1], [1, 0]  # the sorted Stern-Brocot sequence so far
+    tier_p, tier_q = [1], [1]  # its mediants: the sums of adjacent entries
+    for _ in range(max_depth):
+        seq_p, seq_q = _interleave(seq_p, tier_p), _interleave(seq_q, tier_q)
+        up_p, up_q = tier_p, tier_q
+        tier_p, tier_q = list(map(add, seq_p, seq_p[1:])), list(map(add, seq_q, seq_q[1:]))
+        out += map(Slope._unchecked, tier_p, tier_q)
+        # the mirrored tier is the positive tier a depth up, p negated
+        out += map(Slope._unchecked, map(neg, up_p), up_q)
+    return out
+
+
+def _interleave(seq: list, mids: list) -> list:
+    """seq with mids[i] after seq[i]: a Stern-Brocot sequence, or a tier's cells, refined."""
+    out = [None] * (len(seq) + len(mids))
+    out[0::2], out[1::2] = seq, mids
     return out
 
 

@@ -188,6 +188,8 @@ class PTTangent:
     at: MarkovPoint
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.wx, self.wy, self.wz))):
+            raise ValueError("tangent vector entries must be finite")
         p = self.at
         f = (2 * p.x - p.y * p.z, 2 * p.y - p.x * p.z, 2 * p.z - p.x * p.y)
         pairing = f[0] * self.wx + f[1] * self.wy + f[2] * self.wz

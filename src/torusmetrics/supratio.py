@@ -9,9 +9,10 @@ reports honestly that nothing was certified, along with the depth at which
 the value empirically stabilized.  Both modes carry a per-slope state
 down the tree (by default the slope itself), so objectives built on a
 recursion over Farey triangles cost O(1) per slope.  The exhaustive sweep
-goes one tier (one depth) at a time (see farey.sweep_blocks): one combine
-and one objective call per slope over flat lists, and the argmax is
-resolved only on tiers whose maximum beats the best value so far.
+is one loop here (``_maximize_exhaustive``) that goes one tier (one depth)
+at a time over flat lists of states: one combine and one objective call
+per slope, and the argmax is resolved only on tiers whose maximum beats
+the best value so far.
 
 Given a bound, the sweep drops every cell bounded below the best value of
 the shallower tiers (less a rounding margin): its slopes could neither win,
@@ -36,11 +37,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional
 
 from .farey import (
-    SLOPE_ROOTS, Slope, add_slopes, jump, mediant_state, root_cells, split, sweep_blocks,
-    tier_slope,
+    SLOPE_ROOTS, Slope, _interleave, add_slopes, jump, mediant_state, root_cells, split,
 )
 
 __all__ = ["SupQuery", "SupRatioResult", "maximize"]
@@ -55,17 +56,19 @@ class SupQuery:
     """A supremum problem over all slopes.
 
     Each slope carries a state: ``roots`` holds the states at 0/1, 1/0 and
-    1/1, and ``combine`` derives the rest down the tree (see farey.sweep).
-    Given neither, the state of a slope is the Slope itself
-    (farey.SLOPE_ROOTS and farey.add_slopes).  ``objective(state)`` scores a
-    slope from its state, and ``subtree_bound(s_left, s_right, s_opp)``
-    bounds a cell from the states at its endpoints and its opposite vertex
-    (for slope states, farey.cone_directions gives the cell's cone).
+    1/1, and ``combine`` derives the rest down the tree, in the operand
+    order of farey.mediant_state.  Given neither, the state of a slope is
+    the Slope itself (farey.SLOPE_ROOTS and farey.add_slopes).
+    ``objective(state)`` scores a slope from its state, and
+    ``subtree_bound(s_left, s_right, s_opp)`` bounds a cell from the states
+    at its endpoints and its opposite vertex (for slope states,
+    farey.cone_directions gives the cell's cone).
 
     ``subtree_bound`` must upper-bound the objective over every slope
     strictly inside the cell whenever it is supplied; pass None, or set
-    ``exhaustive``, to run in the uncertified exhaustive mode, which a bound
-    only prunes.  ``tolerance`` is absolute, on the supremum value.
+    ``exhaustive``, to run in the uncertified exhaustive mode (the tier loop
+    of _maximize_exhaustive), which a bound only prunes.  ``tolerance`` is
+    absolute, on the supremum value.
 
     ``ray(s_base, s_axis, s_prev, jmax)`` is optional and needs a bound.  It
     picks the slope base + j*axis, 1 <= j <= jmax, to evaluate on a
@@ -157,7 +160,6 @@ class _Search:
         self.best_value = -math.inf
         self.best_key: Optional[tuple] = None
         self.depth_max: dict[int, float] = {}
-        self.floor: Optional[float] = None
 
     def evaluate(self, p: int, q: int, depth: int, state) -> None:
         v = self.query.objective(state)
@@ -171,47 +173,6 @@ class _Search:
         if self.best_key is None or key < self.best_key:
             self.best_value = v
             self.best_key = key
-
-    def evaluate_tier(self, depth: int, tier: list) -> None:
-        """Evaluate one sweep tier: the mediant states of each block, left to right."""
-        objective = self.query.objective
-        tier_values = []
-        for block, paths, states in tier:
-            values = list(map(objective, states))
-            try:
-                finite = all(map(math.isfinite, values))
-            except TypeError:
-                finite = False
-            if not finite:
-                i = next(i for i, v in enumerate(values) if _bad_value(v))
-                raise _non_finite(values[i], tier_slope(depth, block, paths[i] if paths else i))
-            tier_values.append(values)
-        self.evals += sum(map(len, tier_values))
-        top = max(map(max, tier_values))
-        if top > self.depth_max.get(depth, -math.inf):
-            self.depth_max[depth] = float(top)
-        # the argmax so far is shallower, or is -1/1, the smallest slope of
-        # depth 1, so only a strictly larger value displaces it
-        if top > self.best_value:
-            slope, v = min(
-                ((tier_slope(depth, block, paths[i] if paths else i), v)
-                 for (block, paths, _), values in zip(tier, tier_values)
-                 for i, v in enumerate(values) if v == top),
-                key=lambda candidate: candidate[0],
-            )
-            self.best_value = v = float(v)
-            self.best_key = (-v, depth, slope.p, slope.q)
-        # the next tier drops the cells bounded below the best value so far,
-        # unless this tier reached it, as in a self-distance: few would go
-        best = self.best_value
-        self.floor = None if self.depth_max[depth] >= best else best - _PRUNE_MARGIN * abs(best)
-
-    def prune(self, left: list, right: list, opp: list) -> Optional[list]:
-        """Flags for the cells of a sweep block to keep, or None to keep them all."""
-        floor = self.floor
-        if floor is None:
-            return None
-        return [not b < floor for b in map(self.query.subtree_bound, left, right, opp)]
 
     def result(self, certified: bool, frontier_bound: Optional[float],
                hit_eval_cap: bool = False) -> SupRatioResult:
@@ -236,37 +197,128 @@ class _Search:
         )
 
 
-# (p, q, depth) of the slopes in the sweep's root tier, in evaluation order
+# (p, q, depth) of the root slopes and -1/1, in evaluation order
 _ROOT_TIER = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
 
 
 def maximize(query: SupQuery) -> SupRatioResult:
     """Maximize the query objective over all slopes; see module docstring."""
     search = _Search(query)
-    if query.subtree_bound is None or query.exhaustive:
-        return _maximize_exhaustive(search)
     roots = query.roots
     pos, neg = root_cells(roots)
     s_neg = mediant_state(neg, query.combine)
     for (p, q, depth), state in zip(_ROOT_TIER, (*roots, s_neg)):
         search.evaluate(p, q, depth, state)
+    if query.subtree_bound is None or query.exhaustive:
+        return _maximize_exhaustive(search, s_neg)
     return _maximize_certified(search, (*split(pos, roots[2]), *split(neg, s_neg)))
 
 
-def _maximize_exhaustive(search: _Search) -> SupRatioResult:
+def _maximize_exhaustive(search: _Search, s_neg) -> SupRatioResult:
+    """Sweep the tree below the root tier down to max_depth, one tier at a time.
+
+    A tier is every cell of one depth, in two blocks: the positive block
+    (number 0: the 2**d cells below the root interval 0/1 < 1/0 at depth
+    d >= 1) and the mirrored block (number 1: the 2**(d-1) cells below the
+    mirrored root, from depth 2 on).  Each block keeps its cells left to
+    right as three parallel state lists, at the left endpoints, the right
+    endpoints and the opposite vertices, and, once a cell was dropped, a
+    list of the kept cells' paths (see _tier_slope).  Each tier drops the
+    cells bounded below the floor, is cut at the eval budget, combines and
+    evaluates its mediants, and splits every cell into two for the next.
+    """
     query = search.query
-    prune = None if query.subtree_bound is None else search.prune
-    tiers = sweep_blocks(query.roots, query.combine, query.max_depth,
-                         query.max_evals - len(_ROOT_TIER), prune)
-    _, states = next(tiers)
-    for (p, q, depth), state in zip(_ROOT_TIER, states):
-        search.evaluate(p, q, depth, state)
-    while True:
-        try:
-            depth, tier = next(tiers)
-        except StopIteration as stop:
-            return search.result(False, None, hit_eval_cap=bool(stop.value))
-        search.evaluate_tier(depth, tier)
+    objective, combine, bound = query.objective, query.combine, query.subtree_bound
+    s0, s_inf, s1 = query.roots
+    budget = query.max_evals - len(_ROOT_TIER)
+    blocks = [(0, None, [s0, s1], [s1, s_inf], [s_inf, s0])]  # (number, paths, left, right, opp)
+    floor, cut = None, False
+    for depth in range(1, query.max_depth + 1):
+        if depth == 2:
+            blocks.append((1, None, [s0, s_neg], [s_neg, s_inf], [s_inf, s0]))
+        if floor is not None:
+            kept = []
+            for number, paths, *cells in blocks:
+                keep = [not b < floor for b in map(bound, *cells)]
+                if not all(keep):
+                    paths, *cells = (list(compress(column, keep))
+                                     for column in (paths or range(len(keep)), *cells))
+                if cells[0]:
+                    kept.append((number, paths, *cells))
+            blocks = kept
+        cut = sum(len(block[2]) for block in blocks) > budget
+        if not blocks or budget == 0:
+            break
+        tier = []  # (number, paths, mediant states) of each block the budget reaches
+        for number, paths, left, right, opp in blocks:
+            n = min(len(left), budget)
+            if n == 0:
+                break
+            # a block's last cell is n/1 below 1/0, whose left endpoint comes
+            # first among its Farey parents (see farey.mediant_state)
+            last = n == len(left) and (paths is None or paths[-1] == (1 << depth - number) - 1)
+            k = n - 1 if last else n
+            mids = list(map(combine, right[:k], left[:k], opp[:k]))
+            if last:
+                mids.append(combine(left[k], right[k], opp[k]))
+            tier.append((number, paths, mids))
+            budget -= n
+        tier_values = []
+        for number, paths, mids in tier:
+            values = list(map(objective, mids))
+            try:
+                finite = all(map(math.isfinite, values))
+            except TypeError:
+                finite = False
+            if not finite:
+                i = next(i for i, v in enumerate(values) if _bad_value(v))
+                raise _non_finite(values[i], _tier_slope(depth, number, paths[i] if paths else i))
+            tier_values.append(values)
+        search.evals += sum(map(len, tier_values))
+        top = max(map(max, tier_values))
+        if top > search.depth_max.get(depth, -math.inf):
+            search.depth_max[depth] = float(top)
+        # the argmax so far is shallower, or is -1/1, the smallest slope of
+        # depth 1, so only a strictly larger value displaces it
+        if top > search.best_value:
+            slope, v = min(
+                ((_tier_slope(depth, number, paths[i] if paths else i), v)
+                 for (number, paths, _), values in zip(tier, tier_values)
+                 for i, v in enumerate(values) if v == top),
+                key=lambda candidate: candidate[0],
+            )
+            search.best_value = v = float(v)
+            search.best_key = (-v, depth, slope.p, slope.q)
+        if cut or depth == query.max_depth:
+            break
+        # the next tier drops the cells bounded below the best value so far,
+        # unless this tier reached it, as in a self-distance: few would go
+        best = search.best_value
+        floor = (best - _PRUNE_MARGIN * abs(best)
+                 if bound is not None and search.depth_max[depth] < best else None)
+        children = []  # each cell splits at its mediant into two
+        for (number, paths, left, right, opp), (_, _, mids) in zip(blocks, tier):
+            if paths is not None:
+                paths = [2 * i + j for i in paths for j in (0, 1)]
+            children.append((number, paths, _interleave(left, mids), _interleave(mids, right),
+                             _interleave(right, left)))
+        blocks = children
+    return search.result(False, None, hit_eval_cap=cut)
+
+
+def _tier_slope(depth: int, block: int, index: int) -> Slope:
+    """The slope of the cell at ``index`` in a tier's block (0 positive, 1 mirrored).
+
+    The index read in binary is the cell's path below its block's root,
+    0 for a left and 1 for a right child; the mirrored root sits at depth 1.
+    """
+    lp, lq, rp, rq = 0, 1, 1, 0
+    for k in reversed(range(depth - block)):
+        if index >> k & 1:
+            lp, lq = lp + rp, lq + rq
+        else:
+            rp, rq = lp + rp, lq + rq
+    return Slope._unchecked(-(lp + rp) if block else lp + rp, lq + rq)
 
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:

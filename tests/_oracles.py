@@ -65,6 +65,20 @@ def lattice_intersection_count(a: Slope, b: Slope, offset=(0.37, 0.215)) -> int:
     return count
 
 
+# -- the states the exhaustive engine visits -----------------------------------
+
+def swept_states(roots: tuple, combine, max_depth: int, max_evals: int = 200_000):
+    """Every state the exhaustive engine scores, in its order, and its result.
+
+    The objective records each state it is given and scores it 0, so no
+    value ever moves the argmax and no state goes unrecorded.
+    """
+    states = []
+    result = maximize(SupQuery(lambda state: states.append(state) or 0.0, max_depth=max_depth,
+                               max_evals=max_evals, roots=roots, combine=combine))
+    return states, result
+
+
 # -- exhaustive slope enumeration with values (flat torus) --------------------
 
 def torus_form(tau_x: float, tau_y: float) -> tuple[float, float, float]:

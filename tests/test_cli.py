@@ -255,6 +255,16 @@ class TestNorms:
         assert payload["norm"] > 0
         assert payload["engine"]["certified"] is False
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("component", ["--vx", "--vy"])
+    def test_norm_thurston_non_finite_tangent_exits_2(self, capsys, component, bad):
+        args = {"--vx": "1", "--vy": "0", component: bad}
+        argv = ["norm-thurston", "--at", "3,3,6", *(f"{k}={v}" for k, v in args.items())]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tangent vector entries must be finite\n"
+
     def test_norm_thurston_notes_a_cut_inside_the_last_tier(self, capsys):
         args = ["norm-thurston", "--at", "3,3,6", "--vx", "1", "--vy", "0", "--max-depth", "17"]
         assert main(args) == 0
@@ -357,6 +367,20 @@ class TestExperiments:
         if fmt == "json":
             assert [row["certified"] for row in json.loads(path.read_text())["rows"]] == [False]
 
+    def test_converge_boundary_notes_each_sweep_max_evals_stopped(self, capsys):
+        # k = 0 is a self-distance, a full sweep that the cap stops inside
+        # depth 17; the pruned k = 1 distance finishes well under it
+        args = ["converge-boundary", "--base", "3,3,3", "--ks", "0,1", "--slopes", "1/2",
+                "--max-depth", "17"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "note: max_evals stopped the sweep for k=0 at depth 17 of 17 after 200000 of "
+            "393216 evaluations\n"
+        )
+        rows = json.loads(out)["rows"]
+        assert [row["k"] for row in rows] == [0, 1] and rows[0]["stretch"] == 1.0
+
     def test_converge_boundary_overflowing_twist_exits_2(self, capsys):
         code = main(["converge-boundary", "--base", "3,3,3", "--ks", "400", "--max-depth", "6"])
         assert code == 2
@@ -380,6 +404,13 @@ class TestExperiments:
         lines = path.read_text().splitlines()
         assert lines[1] == "k,slope,ext_root,K_root,normalized_value"
         assert len(lines) == 2 + 4
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_gardiner_check_needs_a_sample(self, capsys, samples):
+        assert main(["gardiner-check", "--at", "i", "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: samples must be at least 1\n"
 
     def test_gardiner_check_passes(self, tmp_path):
         code, path = run_to_file(

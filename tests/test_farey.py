@@ -19,11 +19,10 @@ from torusmetrics.farey import (
     root_nodes,
     slope_parents,
     split,
-    sweep,
-    tier_slope,
 )
+from torusmetrics.supratio import _tier_slope
 
-from _oracles import lattice_intersection_count
+from _oracles import lattice_intersection_count, swept_states
 
 
 class TestSlope:
@@ -189,10 +188,11 @@ class TestEnumerate:
         pos, neg = root_nodes()
         expected = [Slope(0, 1), Slope(1, 0), pos.mediant_slope()]
         tier = [*pos.children(), neg]
-        while tier[0].depth <= 7:
+        while tier[0].depth <= 12:
             expected += [node.mediant_slope() for node in tier]
             tier = [child for node in tier for child in node.children()]
-        assert enumerate_slopes(7) == expected
+        for depth in range(13):
+            assert enumerate_slopes(depth) == expected[:3 * 2 ** depth], depth
 
     def test_rejects_bad_depths(self):
         with pytest.raises(ValueError):
@@ -290,12 +290,6 @@ def _other_completion(a, b, c):
     return minus if c == plus else plus
 
 
-def _flat(tiers):
-    """The states of a sweep in its order: the root tier, then block by block."""
-    (_, out), *rest = tiers
-    return out + [s for _, blocks in rest for states in blocks for s in states]
-
-
 class TestCarriedState:
     ROOTS = (Slope(0, 1), Slope(1, 0), Slope(1, 1))
 
@@ -308,25 +302,28 @@ class TestCarriedState:
         return s
 
     def test_sweep_carries_slope_parents_in_order(self):
-        tiers = sweep(self.ROOTS, self.combine, 9, math.inf)
-        _, seen = next(tiers)
-        assert seen == [*self.ROOTS, Slope(-1, 1)]
-        for depth, blocks in tiers:
-            for block, states in enumerate(blocks):
-                assert states == [tier_slope(depth, block, i) for i in range(len(states))]
-                seen += states
+        seen, _ = swept_states(self.ROOTS, self.combine, 9)
         # breadth-first order, except that the sweep takes -1/1 with the roots
         expected = enumerate_slopes(9)
         expected.remove(Slope(-1, 1))
         expected.insert(3, Slope(-1, 1))
         assert seen == expected
+        # each tier is its positive block, then from depth 2 its mirrored one
+        i = 4
+        for depth in range(1, 10):
+            for block in (0, 1) if depth > 1 else (0,):
+                n = 2 ** (depth - block)
+                assert seen[i:i + n] == [_tier_slope(depth, block, j) for j in range(n)]
+                i += n
+        assert i == len(seen)
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 3, 5, 6, 13, 14, 20])
     def test_sweep_budget_cuts_positive_block_first(self, budget):
-        tiers = list(sweep(self.ROOTS, self.combine, 4, budget))
-        assert all(states for _, blocks in tiers[1:] for states in blocks)
-        full = _flat(sweep(self.ROOTS, self.combine, 4, math.inf))
-        assert _flat(tiers) == full[:4 + budget]
+        # max_evals leaves budget evaluations after the root tier
+        full, _ = swept_states(self.ROOTS, self.combine, 4)
+        seen, result = swept_states(self.ROOTS, self.combine, 4, max_evals=4 + budget)
+        assert seen == full[:4 + budget]
+        assert result.evals == 4 + budget and result.hit_eval_cap
 
     def test_path_state_reaches_deep_and_mirrored_slopes(self):
         slopes = [*enumerate_slopes(6), Slope(1, 40), Slope(-40, 1), Slope(-987, 610),

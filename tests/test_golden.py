@@ -21,10 +21,10 @@ from pathlib import Path
 import pytest
 
 from torusmetrics import cli, ptorus, torus
-from torusmetrics.farey import Slope, sweep, tier_slope
+from torusmetrics.farey import SLOPE_ROOTS, Slope, add_slopes
 from torusmetrics.ptorus import TraceCache, from_parameters, tangent_from_chart
 
-from _oracles import teich_norm_sup_parts
+from _oracles import swept_states, teich_norm_sup_parts
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -157,16 +157,12 @@ def test_sweep_log_traces_match_random_access(params):
     # at every slope down to depth 10
     cache = TraceCache(from_parameters(*params))
     roots = tuple(cache.log_trace(Slope(p, q)) for p, q in ((0, 1), (1, 0), (1, 1)))
-    tiers = sweep(roots, ptorus._log_step, 10, math.inf)
-    _, root_tier = next(tiers)
-    assert root_tier == [*roots, cache.log_trace(Slope(-1, 1))]
-    seen = 1
-    for depth, blocks in tiers:
-        for block, states in enumerate(blocks):
-            for i, state in enumerate(states):
-                assert state == cache.log_trace(tier_slope(depth, block, i))
-                seen += 1
-    assert seen == 3 * 2 ** 10 - 3
+    states, _ = swept_states(roots, ptorus._log_step, 10)
+    # the same sweep over slope states labels each state with its slope
+    slopes, _ = swept_states(SLOPE_ROOTS, add_slopes, 10)
+    assert len(states) == len(slopes) == 3 * 2 ** 10
+    for slope, state in zip(slopes, states):
+        assert state == cache.log_trace(slope), slope
 
 
 def _record():

@@ -6,7 +6,7 @@ import pytest
 
 from torusmetrics import ptorus
 from torusmetrics.errors import InvalidPointError, OutOfChartError
-from torusmetrics.farey import Slope, enumerate_slopes, root_nodes, sweep
+from torusmetrics.farey import Slope, enumerate_slopes, root_nodes
 from torusmetrics.ptorus import (
     MarkovPoint,
     TraceCache,
@@ -38,6 +38,7 @@ from _oracles import (
     norm_objective_reference,
     pair_step_reference,
     ptorus_bruteforce_sup,
+    swept_states,
     word_trace,
 )
 
@@ -242,6 +243,17 @@ class TestTangentLift:
 
         with pytest.raises(ValueError):
             PTTangent(1.0, 1.0, 1.0, MODULAR)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN defect compares false, so tangency alone would let it through
+        from torusmetrics.ptorus import PTTangent
+
+        for entries in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="^tangent vector entries must be finite$"):
+                PTTangent(*entries, MODULAR)
+        with pytest.raises(ValueError, match="^tangent vector entries must be finite$"):
+            tangent_from_chart(MIRROR, bad, 0.0)
 
 
 class TestThurstonDistance:
@@ -641,9 +653,9 @@ class TestLongCurveShortcuts:
     @pytest.mark.parametrize("src, dst", SHORTCUT_PAIRS)
     def test_distance_sweep_is_bit_identical(self, src, dst):
         roots = _pair_roots(src, dst)
-        got = list(sweep(roots, ptorus._pair_step, 12, math.inf))
-        want = list(sweep(roots, pair_step_reference, 12, math.inf))
-        assert got == want
+        got, _ = swept_states(roots, ptorus._pair_step, 12)
+        want, _ = swept_states(roots, pair_step_reference, 12)
+        assert len(got) == 3 * 2 ** 12 and got == want
         reference = maximize(SupQuery(length_ratio_reference, ptorus._subtree_ratio_bound,
                                       max_depth=12, roots=roots, combine=pair_step_reference,
                                       exhaustive=True))
@@ -654,9 +666,9 @@ class TestLongCurveShortcuts:
     def test_norm_sweep_is_bit_identical(self, point):
         v = tangent_from_chart(point, 1.0, -0.5)
         roots = tuple(j[:2] for j in ptorus._root_jets(point))
-        got = list(sweep(roots, ptorus._grad_step, 11, math.inf))
-        want = list(sweep(roots, grad_step_reference, 11, math.inf))
-        assert got == want
+        got, _ = swept_states(roots, ptorus._grad_step, 11)
+        want, _ = swept_states(roots, grad_step_reference, 11)
+        assert len(got) == 3 * 2 ** 11 and got == want
         reference = maximize(SupQuery(norm_objective_reference(v), None, max_depth=11,
                                       roots=roots, combine=grad_step_reference))
         assert thurston_norm(point, v, max_depth=11) == reference

@@ -19,31 +19,47 @@ TRACED_RUN = """
 import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 from tracing import Tracer
-from torusmetrics import torus
+from torusmetrics import ptorus, torus
 
 # the argmax of this pair lies on the ray -n/1, which the search jumps along
 pair = (torus.TorusPoint(-0.198, 6.648), torus.TorusPoint(-0.271, 0.471))
-untraced = torus.teich_distance_enum(*pair)
+X, Y = ptorus.MarkovPoint(3.0, 3.0, 3.0), ptorus.MarkovPoint(3.0, 3.0, 6.0)
+V = ptorus.tangent_from_chart(Y, 1.0, 0.0)
+queries = [
+    lambda: torus.teich_distance_enum(*pair),  # certified, with ray jumps
+    lambda: ptorus.thurston_distance(X, Y, max_depth=10),  # a pruned tier sweep
+    lambda: ptorus.thurston_norm(Y, V, max_depth=8),  # a full tier sweep
+]
+untraced = [query() for query in queries]
 tracer = Tracer()
 tracer.install()
-traced = torus.teich_distance_enum(*pair)
-tracer.end_query()
-metrics = tracer.metrics(1.0, 1.0, 0, 0)
-assert traced == untraced, (traced, untraced)
-print(metrics["supratio.evals"][0], metrics["supratio.bound_calls"][0], untraced.evals)
+evals = bound_calls = 0
+for query, want in zip(queries, untraced):
+    traced = query()
+    tracer.end_query()
+    metrics = tracer.metrics(1.0, 1.0, 0, 0)
+    assert traced == want, (traced, want)
+    print(metrics["supratio.evals"][0] - evals, metrics["supratio.bound_calls"][0] - bound_calls,
+          want.evals)
+    evals, bound_calls = metrics["supratio.evals"][0], metrics["supratio.bound_calls"][0]
 """
 
 
 def test_benchmark_tracer_installs_on_the_package():
     # the traced pass counts evaluations through the objective it wraps, so
-    # a search step that evaluates around it would make the counts disagree
+    # a search step or tier loop that evaluates around it would make the
+    # counts disagree
     script = TRACED_RUN.format(src=str(SRC), perfbench=str(ROOT / "perfbench"))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    evals, bound_calls, untraced_evals = map(int, proc.stdout.split())
-    assert evals == untraced_evals > 0 and bound_calls > 0
+    rows = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    (teich, teich_bounds, _), (dist, dist_bounds, _), (norm, norm_bounds, _) = rows
+    assert all(evals == untraced_evals > 0 for evals, _, untraced_evals in rows)
+    assert teich_bounds > 0 and dist_bounds > 0 and norm_bounds == 0
+    # the pruned sweep drops cells; the norm's sweep has no bound to drop them by
+    assert dist < 3 * 2 ** 10 and norm == 3 * 2 ** 8
 
 
 def test_runtime_imports_only_the_standard_library():
