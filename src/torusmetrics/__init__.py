@@ -34,7 +34,6 @@ from .ptorus import (
     PTCovector,
     PTTangent,
     TraceCache,
-    TraceJet,
     WeightedLamination,
     d_length,
     dehn_twist,
@@ -44,7 +43,6 @@ from .ptorus import (
     tangent_from_chart,
     thurston_distance,
     thurston_norm,
-    trace_of_slope,
 )
 
 __version__ = "0.1.0"
@@ -75,13 +73,11 @@ __all__ = [
     "dual_sphere_with_directions",
     "normalized_extremal_functional",
     "MarkovPoint",
-    "TraceJet",
     "TraceCache",
     "PTTangent",
     "PTCovector",
     "WeightedLamination",
     "from_parameters",
-    "trace_of_slope",
     "length",
     "d_length",
     "tangent_from_chart",

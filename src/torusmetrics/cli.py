@@ -288,16 +288,17 @@ def _new_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, formats=("json",)):
-        p.set_defaults(run=run)
+    def common(p, run, csv=False):
+        p.set_defaults(run=run, format="json")
         p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=formats, default="json")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def search(p, run, depth_default, formats=("json",)):
+    def search(p, run, depth_default, csv=False):
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-depth", type=int, default=depth_default)
         p.add_argument("--require-certified", action="store_true")
-        common(p, run, formats)
+        common(p, run, csv)
 
     p = sub.add_parser("dist-teich", help="Teichmuller distance between torus points")
     p.add_argument("--from", dest="src", required=True, metavar="X+YI")
@@ -327,20 +328,20 @@ def _new_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual-sphere", help="sample the dual sphere of extremal-length differentials")
     p.add_argument("--at", required=True, metavar="X+YI")
     p.add_argument("--samples", type=int, default=256)
-    common(p, _run_dual_sphere, ("json", "csv"))
+    common(p, _run_dual_sphere, csv=True)
 
     p = sub.add_parser("converge-boundary", help="normalized lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X,Y,Z")
     p.add_argument("--about", default="1/0", metavar="P/Q")
     p.add_argument("--ks", default="10,25,50", help="comma-separated twist counts")
     p.add_argument("--slopes", default="0/1,1/1,1/2", help="comma-separated slopes to track")
-    search(p, _run_converge_boundary, 12, ("json", "csv"))
+    search(p, _run_converge_boundary, 12, csv=True)
 
     p = sub.add_parser("converge-gm", help="normalized extremal lengths along a twist sequence")
     p.add_argument("--base", required=True, metavar="X+YI")
     p.add_argument("--ks", default="10,25,50")
     p.add_argument("--slopes", default="0/1,1/1,1/2")
-    common(p, _run_converge_gm, ("json", "csv"))
+    common(p, _run_converge_gm, csv=True)
 
     p = sub.add_parser("gardiner-check", help="variational formula against the exact gradient")
     p.add_argument("--at", required=True, metavar="X+YI")
@@ -356,14 +357,9 @@ def _new_parser() -> argparse.ArgumentParser:
 _PARSER = _new_parser()
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser that every call of main shares."""
-    return _PARSER
-
-
 def main(argv=None) -> int:
     """Run one command line in-process; returns the exit status."""
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if "tol" in args and not 0 < args.tol < math.inf:
             raise ValueError("tol must be positive and finite")

@@ -11,9 +11,7 @@ carries x, 0/1 carries y, 1/1 carries z.  Hyperbolic lengths are
 Traces grow doubly exponentially along balanced Farey paths and overflow
 doubles near depth 12, so the recursion runs in log space (``_log_step``),
 together with the gradient of log(trace) where a differential is needed;
-lengths and their differentials stay accurate at any depth.  Public jets
-still expose the raw trace and gradient, which may round to infinity for
-very complicated curves.
+lengths and their differentials stay accurate at any depth.
 
 Long curves take two shortcuts that skip work whose result rounds away,
 so every value is bit-identical to the full formula:
@@ -51,12 +49,10 @@ from .supratio import SupQuery, SupRatioResult, maximize
 
 __all__ = [
     "MarkovPoint",
-    "TraceJet",
     "PTTangent",
     "PTCovector",
     "WeightedLamination",
     "from_parameters",
-    "trace_of_slope",
     "TraceCache",
     "length",
     "d_length",
@@ -164,21 +160,6 @@ class WeightedLamination:
 
 
 @dataclass(frozen=True)
-class TraceJet:
-    """Trace of a slope's geodesic with its gradient in (x, y, z).
-
-    ``t`` and ``grad`` may round to infinity for very complicated slopes;
-    ``log_t`` and ``dlog`` (the gradient of log t) are always finite and
-    are what the length computations consume.
-    """
-
-    t: float
-    grad: tuple[float, float, float]
-    log_t: float
-    dlog: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class PTTangent:
     """Tangent vector (wx, wy, wz) at a Markov point, tangent to the variety."""
 
@@ -193,9 +174,7 @@ class PTTangent:
         p = self.at
         f = (2 * p.x - p.y * p.z, 2 * p.y - p.x * p.z, 2 * p.z - p.x * p.y)
         pairing = f[0] * self.wx + f[1] * self.wy + f[2] * self.wz
-        scale = math.sqrt(f[0] ** 2 + f[1] ** 2 + f[2] ** 2) * math.sqrt(
-            self.wx ** 2 + self.wy ** 2 + self.wz ** 2
-        )
+        scale = math.hypot(*f) * math.hypot(self.wx, self.wy, self.wz)
         if abs(pairing) > 1e-9 * (1.0 + scale):
             raise ValueError(
                 f"({self.wx}, {self.wy}, {self.wz}) is not tangent to the trace variety "
@@ -285,24 +264,18 @@ def _grad_step(a: tuple, b: tuple, c: tuple) -> tuple[float, tuple[float, float,
     )
 
 
-def _jet_step(a: tuple, b: tuple, c: tuple) -> tuple:
-    """_grad_step plus the raw trace: exact float recursion while it fits."""
-    product = a[2] * b[2]
-    return (*_grad_step(a, b, c), math.inf if math.isinf(product) else product - c[2])
-
-
 def _root_jets(point: MarkovPoint) -> tuple:
-    """(log t, gradient of log t, t) at the slopes 0/1, 1/0, 1/1."""
+    """(log t, gradient of log t) at the slopes 0/1, 1/0, 1/1."""
     x, y, z = point.x, point.y, point.z
     return (
-        (math.log(y), (0.0, 1.0 / y, 0.0), y),
-        (math.log(x), (1.0 / x, 0.0, 0.0), x),
-        (math.log(z), (0.0, 0.0, 1.0 / z), z),
+        (math.log(y), (0.0, 1.0 / y, 0.0)),
+        (math.log(x), (1.0 / x, 0.0, 0.0)),
+        (math.log(z), (0.0, 0.0, 1.0 / z)),
     )
 
 
 class TraceCache:
-    """Random access to the trace jets of one Markov point, by slope.
+    """Random access to the log traces of one Markov point, by slope.
 
     A lookup walks the slope's Stern-Brocot path from the root with the
     recursion the sweeps carry: O(depth), no memo, bit-identical values.
@@ -317,21 +290,13 @@ class TraceCache:
     def log_trace(self, slope: Slope) -> float:
         return path_state(slope, tuple(j[0] for j in self._jets), _log_step)
 
-    def jet(self, slope: Slope) -> TraceJet:
-        lt, u, t = path_state(slope, self._jets, _jet_step)
-        if math.isfinite(t):
-            grad = (u[0] * t, u[1] * t, u[2] * t)
-        else:
-            grad = tuple(0.0 if ui == 0.0 else math.copysign(math.inf, ui) for ui in u)
-        return TraceJet(t, grad, lt, u)
-
     def length(self, slope: Slope) -> float:
         """Geodesic length of the unit-weight curve, stable at any depth."""
         return _ell_from_log(self.log_trace(slope))
 
     def length_dlog(self, slope: Slope) -> tuple[float, float, float, float]:
         """(length, g1, g2, g3) with g the gradient of the unit-weight length."""
-        lt, u = path_state(slope, tuple(j[:2] for j in self._jets), _grad_step)
+        lt, u = path_state(slope, self._jets, _grad_step)
         ell = _ell_from_log(lt)
         f = _dlen_factor(lt)
         return ell, f * u[0], f * u[1], f * u[2]
@@ -349,11 +314,6 @@ def _dlen_factor(lt: float) -> float:
     if lt >= _LONG:
         return 2.0  # the root rounds to 1
     return 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
-
-
-def trace_of_slope(point: MarkovPoint, slope: Slope) -> TraceJet:
-    """Trace jet of the geodesic in the slope's isotopy class."""
-    return TraceCache(point).jet(slope)
 
 
 def length(point: MarkovPoint, lam: WeightedLamination) -> float:
@@ -512,7 +472,7 @@ def thurston_norm(
 
     return maximize(
         SupQuery(objective, None, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
-                 roots=tuple(j[:2] for j in _root_jets(point)), combine=_grad_step)
+                 roots=_root_jets(point), combine=_grad_step)
     )
 
 

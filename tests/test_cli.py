@@ -265,6 +265,14 @@ class TestNorms:
         assert out == ""
         assert err == "error: tangent vector entries must be finite\n"
 
+    def test_norm_thurston_is_homogeneous_at_huge_tangents(self, capsys):
+        # the tangency check must not overflow where the norm is finite
+        norms = []
+        for vx in ("1", "1e300"):
+            assert main(["norm-thurston", "--at", "3,3,6", "--vx", vx, "--vy", "0"]) == 0
+            norms.append(json.loads(capsys.readouterr().out)["norm"])
+        assert norms[1] == pytest.approx(1e300 * norms[0], rel=1e-12)
+
     def test_norm_thurston_notes_a_cut_inside_the_last_tier(self, capsys):
         args = ["norm-thurston", "--at", "3,3,6", "--vx", "1", "--vy", "0", "--max-depth", "17"]
         assert main(args) == 0
@@ -464,8 +472,10 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("error: numeric fault (") and err.count("\n") == 1
 
-    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch):
         # one parser serves every call; options of one call must not leak
+        parser = cli._PARSER
+        monkeypatch.setattr(cli, "_new_parser", None)  # a call that built one would fail
         args = ["dist-teich", "--from", "0.25+1.5i", "--to=-0.75+0.8i"]
         outs = []
         for extra in ([], ["--tol", "1e-3", "--max-depth", "7"], []):
@@ -473,7 +483,7 @@ class TestArgumentHandling:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[2] != outs[1]
         assert json.loads(outs[2])["engine"]["tol"] == 1e-6
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._PARSER is parser
 
 
 JSON_ONLY = {
@@ -486,6 +496,7 @@ JSON_ONLY = {
 
 
 class TestJsonOnlyCommands:
+    # JSON is their only output, so they take no --format at all
     @pytest.mark.parametrize("command", sorted(JSON_ONLY))
     def test_csv_is_rejected_by_the_parser(self, command):
         env = dict(os.environ, PYTHONPATH=str(Path(torusmetrics.__file__).resolve().parent.parent))
@@ -495,12 +506,14 @@ class TestJsonOnlyCommands:
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "invalid choice: 'csv'" in proc.stderr
+        assert "unrecognized arguments: --format csv" in proc.stderr
 
     @pytest.mark.parametrize("command", sorted(JSON_ONLY))
-    def test_explicit_json_still_works(self, command, capsys):
-        assert main([command, *JSON_ONLY[command], "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["command"] == command
+    def test_format_json_is_rejected_too(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *JSON_ONLY[command], "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 # the options of the searches, which the closed-form commands do not take

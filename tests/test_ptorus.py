@@ -20,7 +20,6 @@ from torusmetrics.ptorus import (
     tangent_from_chart,
     thurston_distance,
     thurston_norm,
-    trace_of_slope,
     _subtree_ratio_bound,
 )
 from torusmetrics.supratio import SupQuery, maximize
@@ -105,43 +104,24 @@ class TestFromParameters:
 
 class TestTraceOfSlope:
     def test_base_dictionary(self):
-        jet = trace_of_slope(MODULAR, Slope(1, 0))
-        assert jet.t == 3.0
-        assert jet.grad == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
-        assert trace_of_slope(MODULAR, Slope(0, 1)).t == 3.0
-        assert trace_of_slope(MODULAR, Slope(1, 1)).t == 3.0
+        cache = TraceCache(MODULAR)
+        assert cache.log_trace(Slope(1, 0)) == math.log(3.0)
+        assert cache.log_trace(Slope(0, 1)) == math.log(3.0)
+        assert cache.log_trace(Slope(1, 1)) == math.log(3.0)
+        # d(2 arccosh(x/2))/dx = 2/sqrt(x^2 - 4) at the slope 1/0, which carries x
+        _, *grad = cache.length_dlog(Slope(1, 0))
+        assert grad == pytest.approx([2.0 / math.sqrt(5.0), 0.0, 0.0], abs=1e-15)
 
     def test_one_recursion_step(self):
         # 2/1 completes the triangle (1/1, 1/0): z*x - y
-        assert trace_of_slope(MODULAR, Slope(2, 1)).t == pytest.approx(6.0, abs=1e-12)
+        log_t = TraceCache(MODULAR).log_trace(Slope(2, 1))
+        assert log_t == pytest.approx(math.log(6.0), abs=1e-12)
 
     def test_mirror_side_traces(self):
-        assert trace_of_slope(MODULAR, Slope(-1, 1)).t == pytest.approx(6.0, abs=1e-12)
+        cache = TraceCache(MODULAR)
+        assert cache.log_trace(Slope(-1, 1)) == pytest.approx(math.log(6.0), abs=1e-12)
         # x*(xy - z) - y at (3,3,3)
-        assert trace_of_slope(MODULAR, Slope(-2, 1)).t == pytest.approx(15.0, abs=1e-12)
-
-    def test_gradients_match_chart_finite_differences(self):
-        rng = random.Random(17)
-        slopes = enumerate_slopes(10)
-        base = (3.4, 4.1)
-        for s in [rng.choice(slopes) for _ in range(40)]:
-            if s.q == 0 and s.p == 1:
-                continue
-
-            def trace_on_chart(x, y):
-                return trace_of_slope(from_parameters(x, y), s).t
-
-            point = from_parameters(*base)
-            jet = trace_of_slope(point, s)
-            fz = 2 * point.z - point.x * point.y
-            dzdx = -(2 * point.x - point.y * point.z) / fz
-            dzdy = -(2 * point.y - point.x * point.z) / fz
-            expect_x = jet.grad[0] + jet.grad[2] * dzdx
-            expect_y = jet.grad[1] + jet.grad[2] * dzdy
-            got_x = central_diff(lambda x: trace_on_chart(x, base[1]), base[0])
-            got_y = central_diff(lambda y: trace_on_chart(base[0], y), base[1])
-            assert got_x == pytest.approx(expect_x, rel=1e-5, abs=1e-5)
-            assert got_y == pytest.approx(expect_y, rel=1e-5, abs=1e-5)
+        assert cache.log_trace(Slope(-2, 1)) == pytest.approx(math.log(15.0), abs=1e-12)
 
     def test_vertex_relation_along_tree(self):
         # each Farey triangle's trace triple lies on the Markov variety
@@ -153,7 +133,7 @@ class TestTraceOfSlope:
                 continue
             a, b = node.endpoint_slopes()
             m = node.mediant_slope()
-            ta, tb, tm = (cache.jet(s).t for s in (a, b, m))
+            ta, tb, tm = (math.exp(cache.log_trace(s)) for s in (a, b, m))
             assert markov_residual(ta, tb, tm) <= 1e-9
             frontier.extend(node.children())
 
@@ -168,17 +148,17 @@ class TestTraceOfSlope:
         a, b = holonomy_matrices(point)
         commutator = a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
         assert float(np.trace(commutator)) == pytest.approx(-2.0, abs=1e-9)
+        cache = TraceCache(point)
         for s in enumerate_slopes(6):
             expected = word_trace(s, a, b)
-            assert trace_of_slope(point, s).t == pytest.approx(expected, rel=1e-9)
+            assert math.exp(cache.log_trace(s)) == pytest.approx(expected, rel=1e-9)
 
     def test_deep_slope_stays_finite_in_log_space(self):
         p, q = 610, 987  # consecutive Fibonacci numbers: a balanced deep slope
-        jet = trace_of_slope(MODULAR, Slope(p, q))
-        assert jet.t == math.inf
-        assert math.isfinite(jet.log_t)
+        log_t = TraceCache(MODULAR).log_trace(Slope(p, q))
+        assert math.isfinite(log_t)
         ell = length(MODULAR, lam(1, p, q))
-        assert ell == pytest.approx(2.0 * jet.log_t, rel=1e-9)
+        assert ell == pytest.approx(2.0 * log_t, rel=1e-9)
 
     @pytest.mark.xfail(
         strict=True,
@@ -213,10 +193,16 @@ class TestLengthAndDifferential:
     def test_differential_matches_chart_finite_differences(self):
         rng = random.Random(19)
         slopes = enumerate_slopes(5)
+        cases = []
         for _ in range(60):
             x0, y0 = rng.uniform(3.1, 5.5), rng.uniform(3.1, 5.5)
             s = rng.choice(slopes)
-            weighted = lam(rng.uniform(0.5, 2.0), s.p, s.q)
+            cases.append((x0, y0, lam(rng.uniform(0.5, 2.0), s.p, s.q)))
+        # deeper slopes, down to depth 10, at one point
+        rng = random.Random(17)
+        deep = enumerate_slopes(10)
+        cases += [(3.4, 4.1, lam(1.0, s.p, s.q)) for s in (rng.choice(deep) for _ in range(40))]
+        for x0, y0, weighted in cases:
             point = from_parameters(x0, y0)
             got_x = d_length(point, weighted).pair(tangent_from_chart(point, 1.0, 0.0))
             got_y = d_length(point, weighted).pair(tangent_from_chart(point, 0.0, 1.0))
@@ -534,7 +520,7 @@ class TestDehnTwist:
 
     def test_other_traces_grow_without_bound(self):
         values = [
-            trace_of_slope(dehn_twist(MODULAR, Slope(1, 0), k), Slope(0, 1)).log_t
+            TraceCache(dehn_twist(MODULAR, Slope(1, 0), k)).log_trace(Slope(0, 1))
             for k in range(1, 30)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -665,7 +651,7 @@ class TestLongCurveShortcuts:
     @pytest.mark.parametrize("point", CHART_POINTS[:4] + BOUNDARY_POINTS[:2] + TWISTED_POINTS)
     def test_norm_sweep_is_bit_identical(self, point):
         v = tangent_from_chart(point, 1.0, -0.5)
-        roots = tuple(j[:2] for j in ptorus._root_jets(point))
+        roots = ptorus._root_jets(point)
         got, _ = swept_states(roots, ptorus._grad_step, 11)
         want, _ = swept_states(roots, grad_step_reference, 11)
         assert len(got) == 3 * 2 ** 11 and got == want

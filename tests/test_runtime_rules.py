@@ -62,6 +62,19 @@ def test_benchmark_tracer_installs_on_the_package():
     assert dist < 3 * 2 ** 10 and norm == 3 * 2 ** 8
 
 
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks star imports
+    import torusmetrics
+
+    for path in sorted((SRC / "torusmetrics").glob("*.py")):
+        if path.stem in ("__init__", "__main__"):  # the package below; __main__ runs the CLI
+            continue
+        exec(f"from torusmetrics.{path.stem} import *", {})
+    exec("from torusmetrics import *", {})
+    missing = [name for name in torusmetrics.__all__ if not hasattr(torusmetrics, name)]
+    assert missing == []
+
+
 def test_runtime_imports_only_the_standard_library():
     files = sorted((SRC / "torusmetrics").glob("*.py"))
     assert files
