@@ -110,16 +110,23 @@ def _run_norm_teich(args: argparse.Namespace):
 
 def _run_norm_thurston(args: argparse.Namespace):
     at = ptorus.MarkovPoint.parse(args.at)
-    v = ptorus.tangent_from_chart(at, args.vx, args.vy)
-    res = ptorus.thurston_norm(at, v, tol=args.tol, max_depth=args.max_depth)
+    # The norm is positively homogeneous, so a large tangent is scaled by 2^-e
+    # (exact) to max(|vx|, |vy|) in [0.5, 1) and its lift and objectives stay
+    # finite.  tol scales with it, so the stabilization depth keeps its value.
+    # Small tangents are not scaled up: a large tol would then overflow.
+    e = max(math.frexp(max(abs(args.vx), abs(args.vy)))[1], 0)
+    v = ptorus.tangent_from_chart(at, math.ldexp(args.vx, -e), math.ldexp(args.vy, -e))
+    res = ptorus.thurston_norm(at, v, tol=math.ldexp(args.tol, -e), max_depth=args.max_depth)
     _note_cut_sweep(res, args)
+    engine = _engine_meta(res, args)
+    engine["value"] = value = math.ldexp(res.value, e)
     out = {
         "command": args.command,
         "at": at.to_json_dict(),
         "chart_vx": args.vx,
         "chart_vy": args.vy,
-        "norm": res.value,
-        "engine": _engine_meta(res, args),
+        "norm": value,
+        "engine": engine,
     }
     return out, res.certified
 

@@ -38,7 +38,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Optional
 
 from .farey import (
     SLOPE_ROOTS, Slope, _interleave, add_slopes, jump, mediant_state, root_cells, split,

@@ -14,12 +14,16 @@ a coordinate velocity V = (vx, vy) at tau corresponds to the constant
 Beltrami coefficient i*(vx + i*vy)/(2y), and the quadratic differential
 with unit-weight vertical foliation of slope p/q is c*dz^2 with
 c = -(p + q*conj(tau))^2 / y^2.
+
+Covector is a named tuple (gx, gy), not a dataclass: dual_sphere builds
+one per sample, and a tuple is the cheapest immutable record to build.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
@@ -112,12 +116,14 @@ class QuadDiff:
         return abs(self.c) * self.at.y
 
 
-@dataclass(frozen=True)
-class Covector:
-    """Real linear functional on tangent vectors at a torus point."""
+class Covector(namedtuple("Covector", "gx gy")):
+    """Real linear functional on tangent vectors at a torus point.
 
-    gx: float
-    gy: float
+    A named tuple: immutable, hashable, unpacks as (gx, gy) and compares
+    equal to that plain tuple.
+    """
+
+    __slots__ = ()
 
     def pair(self, v: TangentVector) -> float:
         return self.gx * v.vx + self.gy * v.vy
@@ -352,10 +358,12 @@ def teich_norm(tau: TorusPoint, v: TangentVector) -> float:
     return 0.5 * _max_gen_eig((-vy, vx, vy), (1.0, 0.0, 1.0)) * scale / tau.y
 
 
-def dual_sphere_with_directions(
-    tau: TorusPoint, n: int
-) -> list[tuple[float, Covector]]:
-    """(angle, dExt) samples of the embedded dual sphere at tau.
+# builds a Covector from its (gx, gy) tuple without running a Python __new__
+_new_tuple = tuple.__new__
+
+
+def dual_sphere(tau: TorusPoint, n: int) -> list[Covector]:
+    """dExt samples of the embedded dual sphere at tau, at directions pi*j/n.
 
     Directions theta = pi*j/n sweep the projective circle of foliation
     directions once; each foliation is normalized to extremal length one,
@@ -376,12 +384,15 @@ def dual_sphere_with_directions(
         a, b = c + s * x, s * y
         r = math.hypot(a, b)
         a, b = a / r, b / r
-        out.append((theta, Covector(2.0 * a * b / y, (b - a) * (b + a) / y)))
+        out.append(_new_tuple(Covector, (2.0 * a * b / y, (b - a) * (b + a) / y)))
     return out
 
 
-def dual_sphere(tau: TorusPoint, n: int) -> list[Covector]:
-    return [g for _, g in dual_sphere_with_directions(tau, n)]
+def dual_sphere_with_directions(
+    tau: TorusPoint, n: int
+) -> list[tuple[float, Covector]]:
+    """(angle, dExt) samples of the embedded dual sphere at tau; see dual_sphere."""
+    return [(math.pi * j / n, g) for j, g in enumerate(dual_sphere(tau, n))]
 
 
 def normalized_extremal_functional(

@@ -356,6 +356,26 @@ def polygon_is_convex_with_origin(points) -> bool:
     return True
 
 
+# -- the dual sphere's samples, by the two-pass loop --------------------------
+
+def dual_sphere_reference(tau: TorusPoint, n: int) -> list[tuple[float, float, float]]:
+    """(theta, gx, gy) per sample: (angle, covector) pairs, then the covectors.
+
+    The two passes the library once made, with the same per-sample
+    arithmetic, so the tests can hold its one-pass loop to every bit.
+    """
+    x, y = tau.x, tau.y
+    out = []
+    for j in range(n):
+        theta = math.pi * j / n
+        c, s = math.cos(theta), math.sin(theta)
+        a, b = c + s * x, s * y
+        r = math.hypot(a, b)
+        a, b = a / r, b / r
+        out.append((theta, (2.0 * a * b / y, (b - a) * (b + a) / y)))
+    return [(theta, gx, gy) for theta, (gx, gy) in out]
+
+
 # -- the flat-torus norm by the Farey engine --------------------------------
 
 def norm_forms(tau: TorusPoint, v: TangentVector):

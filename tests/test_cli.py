@@ -266,12 +266,27 @@ class TestNorms:
         assert err == "error: tangent vector entries must be finite\n"
 
     def test_norm_thurston_is_homogeneous_at_huge_tangents(self, capsys):
-        # the tangency check must not overflow where the norm is finite
-        norms = []
-        for vx in ("1", "1e300"):
+        # neither the tangency check nor the objectives may overflow where the
+        # norm is finite; the payload keeps the caller's tangent and tol
+        payloads = []
+        for vx in ("1", "1e300", "1e307", "1e308"):
             assert main(["norm-thurston", "--at", "3,3,6", "--vx", vx, "--vy", "0"]) == 0
-            norms.append(json.loads(capsys.readouterr().out)["norm"])
-        assert norms[1] == pytest.approx(1e300 * norms[0], rel=1e-12)
+            payloads.append(json.loads(capsys.readouterr().out))
+        unit = payloads[0]["norm"]
+        for vx, payload in zip((1e300, 1e307, 1e308), payloads[1:]):
+            assert payload["norm"] == pytest.approx(vx * unit, rel=1e-12)
+            assert payload["engine"]["value"] == payload["norm"]
+            assert (payload["chart_vx"], payload["engine"]["tol"]) == (vx, 1e-6)
+
+    @pytest.mark.parametrize("tol,depth", [(0.3, 0), (0.03, 3)])
+    def test_norm_thurston_stabilization_depth_is_homogeneous(self, capsys, tol, depth):
+        # tol is in the norm's units, so it scales with the tangent
+        for scale in (1.0, 1e308):
+            argv = ["norm-thurston", "--at", "chart:3.3,4.1", f"--vx={scale!r}",
+                    f"--vy={-0.7 * scale!r}", f"--tol={tol * scale!r}"]
+            assert main(argv) == 0
+            engine = json.loads(capsys.readouterr().out)["engine"]
+            assert (engine["argmax"], engine["stabilization_depth"]) == ("-3/1", depth)
 
     def test_norm_thurston_notes_a_cut_inside_the_last_tier(self, capsys):
         args = ["norm-thurston", "--at", "3,3,6", "--vx", "1", "--vy", "0", "--max-depth", "17"]

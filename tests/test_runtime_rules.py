@@ -75,7 +75,8 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_runtime_imports_only_the_standard_library():
+def _absolute_imports():
+    """(file name, top-level module) for each absolute import in the package."""
     files = sorted((SRC / "torusmetrics").glob("*.py"))
     assert files
     for path in files:
@@ -87,7 +88,18 @@ def test_runtime_imports_only_the_standard_library():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                yield path.name, name.split(".")[0]
+
+
+def test_runtime_imports_only_the_standard_library():
+    for file_name, module in _absolute_imports():
+        assert module in sys.stdlib_module_names, (file_name, module)
+
+
+def test_runtime_does_not_import_typing():
+    # every CLI call pays for its imports; annotations are never evaluated
+    # (from __future__ import annotations), so they need no typing names
+    assert [f for f, module in _absolute_imports() if module == "typing"] == []
 
 
 _CACHE_DECORATORS = {"cache", "lru_cache"}

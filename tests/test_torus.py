@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from torusmetrics import supratio, torus
 from torusmetrics.errors import InvalidPointError
 from torusmetrics.farey import Slope, enumerate_slopes
 from torusmetrics.torus import (
+    Covector,
     TangentVector,
     TorusPoint,
     WeightedFoliation,
@@ -30,6 +32,7 @@ from torusmetrics.torus import (
 
 from _oracles import (
     central_diff,
+    dual_sphere_reference,
     norm_forms,
     polygon_is_convex_with_origin,
     teich_norm_sup_parts,
@@ -182,6 +185,27 @@ class TestExtremalGradient:
             scale = max(1.0, abs(fx), abs(fy))
             assert abs(g.gx - fx) / scale < 1e-6
             assert abs(g.gy - fy) / scale < 1e-6
+
+
+class TestCovector:
+    def test_is_an_immutable_hashable_named_pair(self):
+        g = Covector(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            g.gx = 3.0
+        with pytest.raises(AttributeError):
+            g.extra = 3.0
+        assert g == Covector(gx=1.0, gy=2.0) == (1.0, 2.0)
+        assert g != Covector(1.0, 2.5)
+        assert hash(g) == hash(Covector(1.0, 2.0))
+        assert len({g, Covector(1.0, 2.0), Covector(2.0, 1.0)}) == 2
+        assert repr(g) == "Covector(gx=1.0, gy=2.0)"
+        gx, gy = g
+        assert (gx, gy) == (g.gx, g.gy) == (1.0, 2.0)
+        assert g.pair(TangentVector(3.0, -0.25)) == 1.0 * 3.0 + 2.0 * -0.25
+
+    def test_d_extremal_returns_a_covector(self):
+        g = d_extremal(fol(1.5, 2, 3), TorusPoint(0.3, 1.2))
+        assert type(g) is Covector
 
 
 def _pq(s):
@@ -720,6 +744,23 @@ class TestDualSphere:
                 ext = _apply_form(q, u)
                 assert abs(g.gx - _apply_form(dx, u) / ext) <= 1e-12 / tau.y
                 assert abs(g.gy - _apply_form(dy, u) / ext) <= 1e-12 / tau.y
+
+    def test_matches_the_two_pass_reference_bit_for_bit(self):
+        def bits(rows):
+            return array("d", [v for row in rows for v in row]).tobytes()
+
+        rng = random.Random(107)
+        moduli = [TorusPoint(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-4.0, 4.0))
+                  for _ in range(300)]
+        moduli += [I, TorusPoint(0.3, 1.2), TorusPoint(-0.7, 1e-3), TorusPoint(0.0, 1e-300),
+                   TorusPoint(-2.5, 1e308)]
+        for tau in moduli:
+            for n in (16, 17, 256, 1000):
+                want = dual_sphere_reference(tau, n)
+                samples = dual_sphere_with_directions(tau, n)
+                assert bits((t, *g) for t, g in samples) == bits(want)
+                assert bits(dual_sphere(tau, n)) == bits(w[1:] for w in want)
+                assert all(type(g) is Covector for _, g in samples)
 
     def test_directions_cover_projective_circle_once(self):
         angles = [theta for theta, _ in dual_sphere_with_directions(I, 32)]
