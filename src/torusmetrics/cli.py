@@ -200,7 +200,7 @@ def _run_converge_boundary(args: argparse.Namespace):
             "rows": rows,
         }
         return out, certified
-    header = ["k", "slope", "length", "L_X", "normalized_value"]
+    header = ["k", "slope", "length", "stretch", "normalized_value"]
     meta = (
         f"# normalized length functional along twists about {about} of {base}"
         f" tol={args.tol!r} max_depth={args.max_depth} certified={str(certified).lower()}"
@@ -239,7 +239,7 @@ def _run_converge_gm(args: argparse.Namespace):
             ],
         }
         return out, True
-    header = ["k", "slope", "ext_root", "K_root", "normalized_value"]
+    header = ["k", "slope", "ext_root", "dilatation_root", "normalized_value"]
     meta = f"# normalized extremal-length functional along twists of {base} method=closed-form"
     csv_rows = [(str(k), s, repr(r), repr(g), repr(nv)) for k, s, r, g, nv in rows]
     return (meta, header, csv_rows), True

@@ -354,7 +354,7 @@ class TestExperiments:
         )
         assert code == 0
         lines = path.read_text().splitlines()
-        assert lines[1] == "k,slope,length,L_X,normalized_value"
+        assert lines[1] == "k,slope,length,stretch,normalized_value"
         assert len(lines) == 2 + 2 * 2
         k, slope, ell, stretch, norm_val = lines[2].split(",")
         assert float(norm_val) == pytest.approx(float(ell) / float(stretch), rel=1e-12)
@@ -425,7 +425,7 @@ class TestExperiments:
         )
         assert code == 0
         lines = path.read_text().splitlines()
-        assert lines[1] == "k,slope,ext_root,K_root,normalized_value"
+        assert lines[1] == "k,slope,ext_root,dilatation_root,normalized_value"
         assert len(lines) == 2 + 4
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
