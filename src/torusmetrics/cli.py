@@ -110,10 +110,8 @@ def _run_norm_teich(args: argparse.Namespace):
 
 def _run_norm_thurston(args: argparse.Namespace):
     at = ptorus.MarkovPoint.parse(args.at)
-    # The norm is positively homogeneous, so a large tangent is scaled by 2^-e
-    # (exact) to max(|vx|, |vy|) in [0.5, 1) and its lift and objectives stay
-    # finite.  tol scales with it, so the stabilization depth keeps its value.
-    # Small tangents are not scaled up: a large tol would then overflow.
+    # The norm is homogeneous: scale a large tangent and tol by 2^-e (exact) so that
+    # its lift and objectives stay finite; scaling small ones up could overflow tol
     e = max(math.frexp(max(abs(args.vx), abs(args.vy)))[1], 0)
     v = ptorus.tangent_from_chart(at, math.ldexp(args.vx, -e), math.ldexp(args.vy, -e))
     res = ptorus.thurston_norm(at, v, tol=math.ldexp(args.tol, -e), max_depth=args.max_depth)

@@ -15,8 +15,8 @@ Beltrami coefficient i*(vx + i*vy)/(2y), and the quadratic differential
 with unit-weight vertical foliation of slope p/q is c*dz^2 with
 c = -(p + q*conj(tau))^2 / y^2.
 
-Covector is a named tuple (gx, gy), not a dataclass: dual_sphere builds
-one per sample, and a tuple is the cheapest immutable record to build.
+Covector is a named tuple (gx, gy): dual_sphere builds one per sample,
+and a tuple is the cheapest immutable record to build.
 """
 
 from __future__ import annotations
@@ -117,11 +117,7 @@ class QuadDiff:
 
 
 class Covector(namedtuple("Covector", "gx gy")):
-    """Real linear functional on tangent vectors at a torus point.
-
-    A named tuple: immutable, hashable, unpacks as (gx, gy) and compares
-    equal to that plain tuple.
-    """
+    """Real linear functional on tangent vectors at a torus point, as (gx, gy)."""
 
     __slots__ = ()
 

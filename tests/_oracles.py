@@ -359,10 +359,10 @@ def polygon_is_convex_with_origin(points) -> bool:
 # -- the dual sphere's samples, by the two-pass loop --------------------------
 
 def dual_sphere_reference(tau: TorusPoint, n: int) -> list[tuple[float, float, float]]:
-    """(theta, gx, gy) per sample: (angle, covector) pairs, then the covectors.
+    """(theta, gx, gy) per sample, by a two-pass loop: (angle, pair) first.
 
-    The two passes the library once made, with the same per-sample
-    arithmetic, so the tests can hold its one-pass loop to every bit.
+    Its per-sample arithmetic is torus.dual_sphere's, in the same operand
+    order, so the library's one-pass loop must match it bit for bit.
     """
     x, y = tau.x, tau.y
     out = []
