@@ -110,9 +110,10 @@ def _run_norm_teich(args: argparse.Namespace):
 
 def _run_norm_thurston(args: argparse.Namespace):
     at = ptorus.MarkovPoint.parse(args.at)
-    # The norm is homogeneous: scale a large tangent and tol by 2^-e (exact) so that
-    # its lift and objectives stay finite; scaling small ones up could overflow tol
-    e = max(math.frexp(max(abs(args.vx), abs(args.vy)))[1], 0)
+    # The norm is homogeneous: scale the tangent and tol by 2^-e (exact) so that the
+    # lift and objectives run in normal floats, neither overflowing nor subnormal;
+    # e stays large enough that tol * 2^-e is finite
+    e = max(math.frexp(max(abs(args.vx), abs(args.vy)))[1], math.frexp(args.tol)[1] - 1024)
     v = ptorus.tangent_from_chart(at, math.ldexp(args.vx, -e), math.ldexp(args.vy, -e))
     res = ptorus.thurston_norm(at, v, tol=math.ldexp(args.tol, -e), max_depth=args.max_depth)
     _note_cut_sweep(res, args)
@@ -308,7 +309,7 @@ def _new_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist-teich", help="Teichmuller distance between torus points")
     p.add_argument("--from", dest="src", required=True, metavar="X+YI")
     p.add_argument("--to", dest="dst", required=True, metavar="X+YI")
-    search(p, _run_dist_teich, 10**6)
+    search(p, _run_dist_teich, None)
 
     p = sub.add_parser("dist-thurston", help="directed Thurston distance between Markov points")
     p.add_argument("--from", dest="src", required=True, metavar="X,Y,Z")
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     try:
         if "tol" in args and not 0 < args.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if "max_depth" in args and args.max_depth < 1:
+        if getattr(args, "max_depth", None) is not None and args.max_depth < 1:
             raise ValueError("max-depth must be at least 1")
         payload, certified = args.run(args)
     except ValueError as exc:

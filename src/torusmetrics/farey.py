@@ -16,8 +16,7 @@ the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  Its certified mode
 and random access to one slope (``path_state``) walk plain tuple cells
 (``split``) with the combine and operand order of ``mediant_state``; the
 exhaustive mode's tier loop lives in supratio and keeps that order, so all
-three agree bit for bit.  Given a ray hook, the certified mode instead pops
-each cell along a ray of slopes, keeping what it skips as a fan (``jump``).
+three agree bit for bit.
 """
 
 from __future__ import annotations
@@ -215,22 +214,6 @@ def add_slopes(a: Slope, b: Slope, c: Slope) -> Slope:
     return Slope._unchecked(p, q)
 
 
-def cone_directions(
-    left: Slope, right: Slope, opp: Slope
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The endpoint directions u, v of a cell that carries slope states.
-
-    Every slope strictly inside the cell is mu*u + nu*v with integers
-    mu, nu >= 1.  The right endpoint of a mirrored cell below 1/0 points
-    along (-1, 0), which the cell shows by left + right == opp.
-    """
-    rp, rq = right.p, right.q
-    if left.p + rp == opp.p and left.q + rq == opp.q:
-        rp, rq = -rp, -rq
-    # each side scales on its own: the cone is the same
-    return direction(left.p, left.q), direction(rp, rq)
-
-
 def root_cells(roots: tuple) -> tuple[tuple, tuple]:
     """The positive and mirrored root cells over the states at 0/1, 1/0, 1/1."""
     s0, s_inf, s1 = roots
@@ -253,59 +236,6 @@ def split(cell: tuple, s_mid) -> tuple[tuple, tuple]:
     mp, mq = lp + rp, lq + rq
     return ((lp, lq, mp, mq, depth + 1, sign, s_left, s_mid, s_right),
             (mp, mq, rp, rq, depth + 1, sign, s_mid, s_right, s_left))
-
-
-# -- ray jumps ------------------------------------------------------------------
-#
-# A cell's subtree is the ray of slopes B + j*A, j >= 1, out of its older
-# endpoint A (the one with smaller p + q) from its newer endpoint B, plus the
-# cells hanging off the ray, one between each pair of consecutive ray slopes;
-# the opposite vertex is B - A, and B + A is the mediant.  A fan
-# (bp, bq, ap, aq, depth, sign, s_base, s_end, s_axis, s_prev, steps) is the
-# part between B and B + steps*A: the ray slopes B + j*A, 0 < j < steps, and
-# the cells hanging off them.  Its depth is that of B + A, and B + j*A lies j - 1
-# deeper, as on a cell's ray.  A fan of one step is the cell hanging there.
-
-
-def jump(region: tuple, ray, max_depth: int) -> tuple:
-    """Pop a cell or a fan along its ray at the step j the ray hook picks.
-
-    Returns (p, q, depth, state) of the slope B + j*A, then the fan between B
-    and B + j*A and the rest beyond it; at j = 1 a cell leaves exactly its
-    split children.  j is capped so that the slope lies at most max_depth deep.
-    """
-    if len(region) == 9:
-        lp, lq, rp, rq, depth, sign, s_left, s_right, s_prev = region
-        steps, s_end = math.inf, None
-        if lp + lq < rp + rq:
-            bp, bq, ap, aq, s_base, s_axis = rp, rq, lp, lq, s_right, s_left
-        else:
-            bp, bq, ap, aq, s_base, s_axis = lp, lq, rp, rq, s_left, s_right
-    else:
-        bp, bq, ap, aq, depth, sign, s_base, s_end, s_axis, s_prev, steps = region
-    jmax = min(steps - 1, max_depth - depth + 1)
-    j, s_j, s_before = ray(s_base, s_axis, s_prev, jmax)
-    if not 1 <= j <= jmax:
-        raise ValueError(f"ray step {j!r} is outside [1, {jmax}]")
-    jp, jq = bp + j * ap, bq + j * aq
-    near = _fan(bp, bq, ap, aq, j, depth, sign, s_base, s_j, s_axis, s_prev)
-    if steps < math.inf:
-        far = _fan(jp, jq, ap, aq, steps - j, depth + j, sign, s_j, s_end, s_axis, s_before)
-    elif ap * bq < bp * aq:  # the axis lies left of the base
-        far = (ap, aq, jp, jq, depth + j, sign, s_axis, s_j, s_before)
-    else:
-        far = (jp, jq, ap, aq, depth + j, sign, s_j, s_axis, s_before)
-    return sign * jp, jq, depth + j - 1, s_j, (near, far)
-
-
-def _fan(bp, bq, ap, aq, steps, depth, sign, s_base, s_end, s_axis, s_prev) -> tuple:
-    """The region between B and B + steps*A: a fan, or the hanging cell at one step."""
-    if steps > 1:
-        return (bp, bq, ap, aq, depth, sign, s_base, s_end, s_axis, s_prev, steps)
-    ep, eq = bp + ap, bq + aq
-    if ap * bq < bp * aq:
-        return (ep, eq, bp, bq, depth + 1, sign, s_end, s_base, s_axis)
-    return (bp, bq, ep, eq, depth + 1, sign, s_base, s_end, s_axis)
 
 
 def path_state(slope: Slope, roots: tuple, combine):

@@ -204,9 +204,6 @@ class PTCovector:
     def pair(self, v: PTTangent) -> float:
         return self.gx * v.wx + self.gy * v.wy + self.gz * v.wz
 
-    def scaled(self, factor: float) -> "PTCovector":
-        return PTCovector(factor * self.gx, factor * self.gy, factor * self.gz)
-
 
 def tangent_from_chart(point: MarkovPoint, vx: float, vy: float) -> PTTangent:
     """Lift a chart velocity (dx, dy) through the implicit trace relation."""

@@ -1,6 +1,8 @@
 """Certified maximization of functionals over all rational slopes.
 
-The engine drives every supremum over curves in this package.  It descends
+The engine drives the suprema over curves on the punctured torus (the
+flat-torus distance walks one path of the tree in closed form instead, see
+torus.teich_distance_enum).  It descends
 the Stern-Brocot tree best-first when the caller can bound the objective
 over a whole subtree, and prunes once no unexplored cell can beat the best
 value by more than the tolerance; the result is then certified.  Without a
@@ -19,13 +21,6 @@ the shallower tiers (less a rounding margin): its slopes could neither win,
 tie nor raise a per-depth maximum past the running one, so the result is
 the full sweep's except for ``evals`` and ``depth_reached``.
 
-A query may also give a ``ray`` hook.  Each cell's subtree is then read as
-the ray of slopes base + j*axis out of its older endpoint (the axis) plus
-the cells that hang off the ray, and one pop evaluates the ray slope the
-hook picks, however far down, instead of the mediant.  What the jump skips
-is kept as a fan (see farey.jump), so it stays under a bound; the hook only
-steers the search, and soundness rests on the subtree bound alone.
-
 Results are a pure function of the query: evaluation order never changes
 the reported value or argmax (ties are broken by depth, then slope), so
 objective evaluations could be farmed out concurrently without changing
@@ -40,7 +35,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .farey import (
-    SLOPE_ROOTS, Slope, _interleave, add_slopes, jump, mediant_state, root_cells, split,
+    SLOPE_ROOTS, Slope, _interleave, add_slopes, mediant_state, root_cells, split,
 )
 
 __all__ = ["SupQuery", "SupRatioResult", "maximize"]
@@ -60,24 +55,13 @@ class SupQuery:
     the Slope itself (farey.SLOPE_ROOTS and farey.add_slopes).
     ``objective(state)`` scores a slope from its state, and
     ``subtree_bound(s_left, s_right, s_opp)`` bounds a cell from the states
-    at its endpoints and its opposite vertex (for slope states,
-    farey.cone_directions gives the cell's cone).
+    at its endpoints and its opposite vertex.
 
     ``subtree_bound`` must upper-bound the objective over every slope
     strictly inside the cell whenever it is supplied; pass None, or set
     ``exhaustive``, to run in the uncertified exhaustive mode (the tier loop
     of _maximize_exhaustive), which a bound only prunes.  ``tolerance`` is
     absolute, on the supremum value.
-
-    ``ray(s_base, s_axis, s_prev, jmax)`` is optional and needs a bound.  It
-    picks the slope base + j*axis, 1 <= j <= jmax, to evaluate on a
-    region's ray, best the one next to the objective's peak; s_prev is the
-    state at base - axis.  It returns (j, state at base + j*axis, state at
-    base + (j-1)*axis).  The search then also bounds fans, the cones
-    between base and base + n*axis with n >= 2 steps:
-    ``subtree_bound(s_base, s_end, s_axis)`` must bound every slope
-    strictly inside that cone too.  A poor j costs evaluations, never
-    soundness.
     """
 
     objective: Callable
@@ -87,7 +71,6 @@ class SupQuery:
     max_evals: int = 200_000
     roots: Optional[tuple] = None
     combine: Optional[Callable] = None
-    ray: Optional[Callable] = None
     exhaustive: bool = False
 
     def __post_init__(self):
@@ -99,8 +82,6 @@ class SupQuery:
             raise ValueError("max_evals must allow at least the root evaluations")
         if (self.roots is not None) != (self.combine is not None):
             raise ValueError("roots and combine must be given together")
-        if self.ray is not None and self.subtree_bound is None:
-            raise ValueError("a ray hook needs a subtree bound")
         if self.roots is None:
             self.roots, self.combine = SLOPE_ROOTS, add_slopes
 
@@ -322,7 +303,7 @@ def _tier_slope(depth: int, block: int, index: int) -> Slope:
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     query = search.query
-    bound, combine, ray = query.subtree_bound, query.combine, query.ray
+    bound, combine = query.subtree_bound, query.combine
 
     heap: list[tuple] = []
     # Upper bounds over regions that max_depth prevented us from opening.
@@ -330,23 +311,21 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     hit_eval_cap = False
     frontier_top = -math.inf
 
-    def push(region: tuple) -> None:
-        # a cell (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp) keyed by
-        # its mediant, or a fan (bp, bq, ap, aq, depth, sign, s_base, s_end,
-        # s_axis, ...) keyed by its first ray slope base + axis
+    def push(cell: tuple) -> None:
+        # a cell (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp), keyed by its mediant
         nonlocal truncated
-        lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp = region[:9]
+        lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp = cell
         b = float(bound(s_left, s_right, s_opp))
         if depth > query.max_depth:
             truncated = max(truncated, b)
         else:
-            heapq.heappush(heap, (-b, depth, sign * (lp + rp), lq + rq, region))
+            heapq.heappush(heap, (-b, depth, sign * (lp + rp), lq + rq, cell))
 
     for cell in cells:
         push(cell)
 
     while heap:
-        neg_b, depth, p, q, region = heapq.heappop(heap)
+        neg_b, depth, p, q, cell = heapq.heappop(heap)
         b = -neg_b
         if b <= search.best_value + query.tolerance:
             frontier_top = b
@@ -355,13 +334,9 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
             frontier_top = b
             hit_eval_cap = True
             break
-        if ray is None:
-            state = mediant_state(region, combine)
-            children = split(region, state)
-        else:
-            p, q, depth, state, children = jump(region, ray, query.max_depth)
+        state = mediant_state(cell, combine)
         search.evaluate(p, q, depth, state)
-        for child in children:
+        for child in split(cell, state):
             push(child)
 
     outstanding = max(frontier_top, truncated)

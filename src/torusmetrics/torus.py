@@ -22,13 +22,14 @@ and a tuple is the cheapest immutable record to build.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import InvalidPointError
-from .farey import Slope, cone_directions, direction
-from .supratio import SupQuery, SupRatioResult, maximize
+from .farey import Slope, direction
+from .supratio import SupRatioResult
+# stays importable as torus.maximize: perfbench/tracing.py wraps it; no code here calls it
+from .supratio import maximize  # noqa: F401
 
 __all__ = [
     "TorusPoint",
@@ -171,108 +172,15 @@ def gardiner_pairing(phi: QuadDiff, v: TangentVector, tau: TorusPoint) -> float:
     return phi.c.imag * v.vx + phi.c.real * v.vy
 
 
-# -- quadratic-form helpers --------------------------------------------------
+# -- the extremal-length form -------------------------------------------------
 
-def _q_form(tau: TorusPoint) -> tuple[float, float, float]:
-    """Symmetric form (f11, f12, f22) with Ext_(p,q) = [p q] F [p q]^T."""
-    x, y = tau.x, tau.y
+def _q_form(x: float, y: float) -> tuple[float, float, float]:
+    """Symmetric form (f11, f12, f22) with Ext_(p,q) = [p q] F [p q]^T at x + iy."""
     f22 = (x * x + y * y) / y
     if not 0.0 < f22 < math.inf:
         # x^2 + y^2 overflowed (huge y) or underflowed to 0 (tiny x and y)
         f22 = x * (x / y) + y
     return (1.0 / y, x / y, f22)
-
-
-def _apply_form(f: tuple[float, float, float], u: tuple[float, float]) -> float:
-    return f[0] * u[0] * u[0] + 2.0 * f[1] * u[0] * u[1] + f[2] * u[1] * u[1]
-
-
-def _max_gen_eig(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    """Largest root of det(A - mu*B) = 0 for symmetric A and positive B."""
-    c2 = b[0] * b[2] - b[1] * b[1]
-    c1 = a[0] * b[2] + a[2] * b[0] - 2.0 * a[1] * b[1]
-    c0 = a[0] * a[2] - a[1] * a[1]
-    disc = max(c1 * c1 - 4.0 * c2 * c0, 0.0)
-    return (c1 + math.sqrt(disc)) / (2.0 * c2)
-
-
-def _line_ratio(a, b, u, v) -> tuple[float, float, list[tuple[float, float]]]:
-    """The ratio (w A w)/(w B w) along w = u + s*v: at s = 0, at s = inf, and at
-    its finite real critical points, as (s, ratio) pairs.
-
-    The ratio is a quotient of two quadratics in s, so its derivative
-    vanishes on the roots of one quadratic.
-    """
-    auu, avv = _apply_form(a, u), _apply_form(a, v)
-    buu, bvv = _apply_form(b, u), _apply_form(b, v)
-    auv = a[0] * u[0] * v[0] + a[1] * (u[0] * v[1] + u[1] * v[0]) + a[2] * u[1] * v[1]
-    buv = b[0] * u[0] * v[0] + b[1] * (u[0] * v[1] + u[1] * v[0]) + b[2] * u[1] * v[1]
-    c2 = avv * buv - auv * bvv
-    c1 = avv * buu - auu * bvv
-    c0 = auv * buu - auu * buv
-    roots = []
-    if c2 != 0.0:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            roots.extend(((-c1 + r) / (2.0 * c2), (-c1 - r) / (2.0 * c2)))
-    elif c1 != 0.0:
-        roots.append(-c0 / c1)
-    critical = []
-    for s in roots:
-        if math.isfinite(s):
-            num = auu + 2.0 * auv * s + avv * s * s
-            den = buu + 2.0 * buv * s + bvv * s * s
-            if den > 0.0:
-                critical.append((s, num / den))
-    return auu / buu, avv / bvv, critical
-
-
-def _cone_ratio_max(
-    a: tuple[float, float, float],
-    b: tuple[float, float, float],
-    u: tuple[float, float],
-    v: tuple[float, float],
-) -> float:
-    """Exact max of (w A w)/(w B w) over the closed cone spanned by u, v.
-
-    Restricting to w = u + s*v, s in [0, inf], the ratio is a rational
-    function of s whose critical points solve a quadratic; the max over the
-    candidates {0, inf, positive roots} is exact.  Slopes strictly inside a
-    Stern-Brocot interval, or a fan of one, are positive integer combinations
-    of its two sides, so this bounds the objective over the whole region.
-    """
-    at_u, at_v, critical = _line_ratio(a, b, u, v)
-    return max(at_u, at_v, *(value for s, value in critical if s > 0.0))
-
-
-def _ray_step(a, b, base: tuple[int, int], axis: tuple[int, int], jmax: int) -> int:
-    """The step j in [1, jmax] next to the peak of the ratio along base + s*axis.
-
-    The ratio of two forms has one peak over all directions; along the ray
-    it peaks at a critical point or at s = inf.  j is the better of the
-    integers either side of the peak, clipped to [1, jmax] (the smaller on
-    ties).  A region whose bound exceeds its sides has its peak inside; the
-    integer argmax over all of [1, jmax] could sit at the far end of a dip
-    in the ratio instead, and the search would then shave one step a pop.
-    """
-    (bp, bq), (ap, aq) = base, axis
-    _, peak_value, critical = _line_ratio(a, b, (float(bp), float(bq)), (float(ap), float(aq)))
-    peak = math.inf
-    for s, value in critical:
-        if value > peak_value:
-            peak, peak_value = s, value
-    if not peak < jmax:
-        return jmax
-    if peak < 1.0:
-        return 1
-
-    def ratio(j: int) -> float:
-        w = direction(bp + j * ap, bq + j * aq)
-        return _apply_form(a, w) / _apply_form(b, w)
-
-    j = math.floor(peak)
-    return j if ratio(j) >= ratio(j + 1) else j + 1
 
 
 # -- distances ----------------------------------------------------------------
@@ -289,69 +197,183 @@ def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
     return math.asinh(dz / (2.0 * math.sqrt(tau1.y) * math.sqrt(tau2.y)))
 
 
-# e^(2d) is a finite float exactly when 2d is at most this
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# Relative rounding allowance of lambda_hi over e^(2d) and over every ratio
+# computed (see teich_distance_enum)
+_ROUNDING = 2.0**-44
+# (p, q, depth) of the root slopes 0/1, 1/0, 1/1 and of -1/1, evaluated first
+_ROOTS = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
+
+
+def _moebius(m: tuple, x: float, y: float) -> tuple[float, float]:
+    """(a*tau + b)/(c*tau + d) at tau = x + iy for m = (a, b, c, d), exact in
+    integers and rounded once (int true division rounds correctly)."""
+    a, b, c, d = m
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    # ((a x + b)(c x + d) + a c y^2 + i y) / ((c x + d)^2 + c^2 y^2), all times (xd yd)^2
+    u, v, w = (a * xn + b * xd) * yd, (c * xn + d * xd) * yd, yn * xd
+    den = v * v + (c * w) ** 2
+    return (u * v + a * c * w * w) / den, yn * yd * xd * xd / den
+
+
+def _reduced_frame(tau1: TorusPoint, tau2: TorusPoint) -> tuple:
+    """(M, M tau1, M tau2): M = (a, b, c, d) in SL(2,Z) takes tau1 to the modular
+    fundamental domain by Lagrange-Gauss steps, and each image is exact, rounded once.
+
+    The steps run in floats; each inversion magnifies the error of x by 1/|tau|^2,
+    so past 2^20 they resume from the exact image, and inverting only under
+    1 - 2^-24 makes each one raise y by a factor floats resolve.
+    """
+    x, y = tau1.x, tau1.y
+    a, b, c, d = 1, 0, 0, 1
+    gain = 1.0
+    while True:
+        if gain > 2.0**20:
+            (x, y), gain = _moebius((a, b, c, d), tau1.x, tau1.y), 1.0
+        n = round(x)
+        a, b, x = a - n * c, b - n * d, x - n
+        r = math.hypot(x, y)
+        if not r < 1.0 - 2.0**-24:
+            break
+        gain = gain / r / r
+        a, b, c, d, x, y = -c, -d, a, b, -x / r / r, y / r / r
+    m = (a, b, c, d)
+    if m == (1, 0, 0, 1):
+        return m, (tau1.x, tau1.y), (tau2.x, tau2.y)
+    return m, _moebius(m, tau1.x, tau1.y), _moebius(m, tau2.x, tau2.y)
+
+
+def _forms(x1: float, y1: float, x2: float, y2: float) -> tuple[tuple, tuple]:
+    """The extremal-length forms at the target x2 + iy2 and the source x1 + iy1."""
+    if y1 > 0.0 and y2 > 0.0:
+        a, b = _q_form(x2, y2), _q_form(x1, y1)
+        if all(map(math.isfinite, a + b)):
+            return a, b
+    raise OverflowError(f"the extremal-length forms of {x1!r}+{y1!r}i and {x2!r}+{y2!r}i overflow")
+
+
+def _convergents(ep: float, eq: float, max_depth):
+    """(p, q, depth) of the continued-fraction convergents of the slope ep/eq.
+
+    depth, the Stern-Brocot depth, is the partial quotients' sum less one (one more
+    below 0); one that would pass max_depth is clipped to end the walk at max_depth.
+    """
+    if eq < 0.0:
+        ep, eq = -ep, -eq
+    if not 0.0 < eq or not abs(ep) / eq < math.inf:  # 1/0, a root, or no direction
+        return
+    sign, depth = (-1, 0) if ep < 0.0 else (1, -1)
+    n, d = (abs(ep) / eq).as_integer_ratio()
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while d:
+        k, (n, d) = n // d, (d, n % d)
+        depth += k
+        if max_depth is not None and depth > max_depth:
+            k -= depth - max_depth
+            if k > 0:
+                yield sign * (k * h1 + h0), k * k1 + k0, max_depth
+            return
+        h0, k0, h1, k1 = h1, k1, k * h1 + h0, k * k1 + k0
+        yield sign * h1, k1, depth
+
+
+def _ratio(a: tuple, b: tuple, p: int, q: int) -> float:
+    """(w A w)/(w B w) at the slope w = p/q."""
+    u0, u1 = direction(p, q)
+    v = ((a[0] * u0 * u0 + 2.0 * a[1] * u0 * u1 + a[2] * u1 * u1)
+         / (b[0] * u0 * u0 + 2.0 * b[1] * u0 * u1 + b[2] * u1 * u1))
+    if not math.isfinite(v):
+        raise OverflowError(f"the extremal-length ratio at slope {p}/{q} is {v!r}")
+    return v
 
 
 def teich_distance_enum(
     tau1: TorusPoint,
     tau2: TorusPoint,
     tol: float = 1e-6,
-    max_depth: int = 10**6,
+    max_depth: int | None = None,
     max_evals: int = 200_000,
 ) -> SupRatioResult:
     """Certified sup of Ext(tau2)/Ext(tau1) over slopes; distance = log(value)/2.
 
-    The search jumps along rays of slopes (see supratio), so a deep argmax
-    costs few evaluations and max_depth is only a cap.  Raises OverflowError
-    when an entry of either extremal-length form or the supremum e^(2d) is not
-    a finite float.
+    The ratio of the two extremal-length forms peaks once over all directions,
+    at the stretch direction e+, with value lambda = e^(2d) (Kerckhoff).  The
+    search evaluates the root slopes, then the continued-fraction convergents
+    of e+ (best approximations, Khinchin), in the source's reduced frame
+    (_reduced_frame), where the forms do not cancel, and stops once the best
+    value is at least lambda_hi - tol.  e+ only steers; lambda_hi is
+    ``frontier_bound``.  ``max_depth`` (None: no cap) clips a partial
+    quotient; it and ``stabilization_depth``, the argmax's depth, count
+    depth in the reduced frame.
+
+    lambda = (s + sqrt(1 + s^2))^2 adds and multiplies positive terms only,
+    so it is within about 15 units of roundoff u = 2^-53 of e^(2d); with
+    |x1| <= 1/2 and |tau1| >= 1 the forms cancel little, and a computed ratio
+    exceeds its exact value, at most e^(2d), by a few tens of u.  lambda_hi =
+    lambda * (1 + 2^-44), 512 u, covers both (seeded pairs with |x| to 1e12
+    and y from 1e-300 to 1e300 erred by at most 8 u); a tol under the ratios'
+    rounding floor 2^-43 * lambda_hi is taken at that floor.  Raises
+    OverflowError when a form's entry, at the given points or in the reduced
+    frame, or e^(2d) is not a finite float.
     """
-    a = _q_form(tau2)
-    b = _q_form(tau1)
-    if not all(map(math.isfinite, a + b)):
-        raise OverflowError(f"the extremal-length forms of {tau1} and {tau2} overflow")
-    if 2.0 * teich_distance_oracle(tau1, tau2) > _LOG_FLOAT_MAX:
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
+    if max_evals < len(_ROOTS):
+        raise ValueError("max_evals must allow at least the root evaluations")
+    x1, y1, x2, y2 = tau1.x, tau1.y, tau2.x, tau2.y
+    _forms(x1, y1, x2, y2)
+    s = math.hypot(x2 - x1, y2 - y1) / (2.0 * math.sqrt(y1) * math.sqrt(y2))
+    lam = (s + math.sqrt(1.0 + s * s)) ** 2  # e^(2d), d = asinh(s) as in the oracle
+    lam_hi = lam * (1.0 + _ROUNDING)
+    if not lam_hi < math.inf:
         raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
-
-    def objective(s: Slope) -> float:
-        u = direction(s.p, s.q)
-        return _apply_form(a, u) / _apply_form(b, u)
-
-    def bound(left: Slope, right: Slope, opp: Slope) -> float:
-        return _cone_ratio_max(a, b, *cone_directions(left, right, opp))
-
-    def ray(base: Slope, axis: Slope, prev: Slope, jmax: int):
-        bp, bq = base.p, base.q
-        # the canonical 1/0 stands for (-1, 0) on the mirrored side; prev = base - axis
-        ap, aq = (axis.p, axis.q) if axis.q else (bp - prev.p, bq - prev.q)
-        j = _ray_step(a, b, (bp, bq), (ap, aq), jmax)
-        return (j, Slope._unchecked(bp + j * ap, bq + j * aq),
-                Slope._unchecked(bp + (j - 1) * ap, bq + (j - 1) * aq))
-
-    return maximize(SupQuery(
-        objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals, ray=ray))
+    m, (x1, y1), (x2, y2) = _reduced_frame(tau1, tau2)
+    a, b = _forms(x1, y1, x2, y2)
+    target = lam_hi - max(tol, 2.0 * _ROUNDING * lam_hi)
+    # e+ is normal to the row of A - lam*B further from 0
+    rows = ((a[0] - lam * b[0], a[1] - lam * b[1]), (a[1] - lam * b[1], a[2] - lam * b[2]))
+    row = max(rows, key=lambda r: abs(r[0]) + abs(r[1]))
+    # ties go to the shallower, then the smaller slope; each convergent lies
+    # deeper than every slope before it but -1/1, the smaller
+    v, depth, p, q = min((-_ratio(a, b, p, q), depth, p, q) for p, q, depth in _ROOTS)
+    best, evals, depth_reached, hit_eval_cap = -v, len(_ROOTS), 1, False
+    for cp, cq, c_depth in _convergents(-row[1], row[0], max_depth):
+        if best >= target:
+            break
+        if cq == 1 and -1 <= cp <= 1:  # a root slope, evaluated already
+            continue
+        if evals >= max_evals:
+            hit_eval_cap = True
+            break
+        v, evals, depth_reached = _ratio(a, b, cp, cq), evals + 1, c_depth
+        if v > best:
+            best, depth, p, q = v, c_depth, cp, cq
+    ma, mb, mc, md = m
+    p, q = md * p + mb * q, mc * p + ma * q
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return SupRatioResult(best, Slope._unchecked(p, q), best >= target, lam_hi, evals, depth,
+                          depth_reached, hit_eval_cap)
 
 
 # -- the Finsler norm and its dual sphere ------------------------------------
 
 def teich_norm(tau: TorusPoint, v: TangentVector) -> float:
-    """Finsler norm sup of d(Ext^1/2)(V)/Ext^1/2 over foliations.
+    """Finsler norm sup of d(Ext^1/2)(V)/Ext^1/2 over foliations: |V|/(2y).
 
-    The sup over the full direction circle is a generalized eigenvalue of
-    two quadratic forms, in closed form; it dominates the sup over rational
-    slopes (the maximizer need not be rational).  The norm is invariant
-    under the isometry tau -> (tau - x)/y, V -> V/y and positively
-    homogeneous in V, so it is evaluated at i on V scaled to max(|vx|, |vy|)
-    = 1: no intermediate overflows or divides by y^2 at extreme moduli.
-    Equals |V|/(2y).
+    The sup over the full direction circle dominates the sup over rational
+    slopes (the maximizer need not be rational).  The norm is invariant under
+    the isometry tau -> (tau - x)/y, V -> V/y, and at i, where Ext is the
+    form (1, 0, 1) and its derivative along V is (-vy, vx, vy), the top
+    generalized eigenvalue of the two is |V|.  V is scaled to max(|vx|, |vy|)
+    = 1 first, so nothing overflows at extreme moduli.
     """
     scale = max(abs(v.vx), abs(v.vy))
     if scale == 0.0:
         return 0.0
-    vx, vy = v.vx / scale, v.vy / scale
-    # at i, Ext is the form (1, 0, 1) and its derivative along V is (-vy, vx, vy)
-    return 0.5 * _max_gen_eig((-vy, vx, vy), (1.0, 0.0, 1.0)) * scale / tau.y
+    return 0.5 * math.hypot(v.vx / scale, v.vy / scale) * scale / tau.y
 
 
 # builds a Covector from its (gx, gy) tuple without running a Python __new__
@@ -359,36 +381,35 @@ _new_tuple = tuple.__new__
 
 
 def dual_sphere(tau: TorusPoint, n: int) -> list[Covector]:
-    """dExt samples of the embedded dual sphere at tau, at directions pi*j/n.
+    """dExt samples of the embedded dual sphere at tau, n foliations spread evenly.
 
-    Directions theta = pi*j/n sweep the projective circle of foliation
-    directions once; each foliation is normalized to extremal length one,
-    so the covector is dExt evaluated on the normalized foliation.  The
-    resulting polygon is convex and strictly contains the origin.
+    tau -> (tau - x)/y takes tau to i, where the foliation of angle phi,
+    normalized to extremal length one, has dExt = (sin 2phi, -cos 2phi); at
+    tau that is divided by y.  So the dual sphere is the circle of radius
+    1/y, and phi_j = pi*j/n spreads the samples evenly in the visual measure
+    from tau: a convex polygon around the origin whose support function is
+    within a factor cos(pi/n) of 2*teich_norm.
     """
     if n < 16:
         raise ValueError("need at least 16 samples to resolve the dual sphere")
-    x, y = tau.x, tau.y
+    y = tau.y
     if 1.0 / y == math.inf:
         raise OverflowError(f"dual-sphere covectors of size 1/y overflow at y = {y!r}")
-    # direction u at tau is (u0 + u1*x, u1*y) at i under tau -> (tau - x)/y; there
-    # dExt/Ext of the unit direction (a, b) is (2ab, b^2 - a^2), here that over y
+    sin, cos, neg_y, turn = math.sin, math.cos, -y, 2.0 * math.pi
+    return [_new_tuple(Covector, (sin(t) / y, cos(t) / neg_y))  # t = 2*phi_j
+            for t in [turn * j / n for j in range(n)]]
+
+
+def dual_sphere_with_directions(tau: TorusPoint, n: int) -> list[tuple[float, Covector]]:
+    """(angle, dExt) samples of dual_sphere, each labelled with the angle in [0, pi)
+    of its foliation's direction at tau, (cos phi - x sin(phi)/y, sin(phi)/y)."""
+    x, y = tau.x, tau.y
     out = []
-    for j in range(n):
-        theta = math.pi * j / n
-        c, s = math.cos(theta), math.sin(theta)
-        a, b = c + s * x, s * y
-        r = math.hypot(a, b)
-        a, b = a / r, b / r
-        out.append(_new_tuple(Covector, (2.0 * a * b / y, (b - a) * (b + a) / y)))
+    for j, g in enumerate(dual_sphere(tau, n)):
+        phi = math.pi * j / n
+        v = math.sin(phi) / y
+        out.append((math.atan2(v, math.cos(phi) - x * v) % math.pi, g))
     return out
-
-
-def dual_sphere_with_directions(
-    tau: TorusPoint, n: int
-) -> list[tuple[float, Covector]]:
-    """(angle, dExt) samples of the embedded dual sphere at tau; see dual_sphere."""
-    return [(math.pi * j / n, g) for j, g in enumerate(dual_sphere(tau, n))]
 
 
 def normalized_extremal_functional(

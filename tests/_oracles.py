@@ -17,16 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from torusmetrics.errors import InvalidPointError
-from torusmetrics.farey import Slope, cone_directions
+from torusmetrics.farey import Slope, direction
 from torusmetrics.supratio import SupQuery, SupRatioResult, maximize
-from torusmetrics.torus import (
-    TangentVector,
-    TorusPoint,
-    _apply_form,
-    _cone_ratio_max,
-    _max_gen_eig,
-    _q_form,
-)
+from torusmetrics.torus import TangentVector, TorusPoint
 
 LOG2 = math.log(2.0)
 _DEGENERATE = "trace recursion degenerated; the point is not Fuchsian"
@@ -83,6 +76,60 @@ def swept_states(roots: tuple, combine, max_depth: int, max_evals: int = 200_000
 
 def torus_form(tau_x: float, tau_y: float) -> tuple[float, float, float]:
     return (1.0 / tau_y, tau_x / tau_y, (tau_x ** 2 + tau_y ** 2) / tau_y)
+
+
+def apply_form(f, u) -> float:
+    """The quadratic form f = (f11, f12, f22) at the vector u."""
+    return f[0] * u[0] * u[0] + 2.0 * f[1] * u[0] * u[1] + f[2] * u[1] * u[1]
+
+
+def max_gen_eig(a, b) -> float:
+    """Largest root of det(A - mu*B) = 0, from its characteristic quadratic."""
+    c2 = b[0] * b[2] - b[1] * b[1]
+    c1 = a[0] * b[2] + a[2] * b[0] - 2.0 * a[1] * b[1]
+    c0 = a[0] * a[2] - a[1] * a[1]
+    return (c1 + math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))) / (2.0 * c2)
+
+
+def cone_directions(left: Slope, right: Slope, opp: Slope):
+    """The endpoint directions u, v of an engine cell that carries slope states.
+
+    Every slope strictly inside the cell is mu*u + nu*v with integers
+    mu, nu >= 1.  The right endpoint of a mirrored cell below 1/0 points
+    along (-1, 0), which the cell shows by left + right == opp.
+    """
+    rp, rq = right.p, right.q
+    if left.p + rp == opp.p and left.q + rq == opp.q:
+        rp, rq = -rp, -rq
+    return direction(left.p, left.q), direction(rp, rq)
+
+
+def cone_ratio_max(a, b, u, v) -> float:
+    """Exact max of (w A w)/(w B w) over the closed cone spanned by u and v.
+
+    Along w = u + s*v, s in [0, inf], the ratio is a quotient of two
+    quadratics in s, whose derivative vanishes on the roots of one
+    quadratic; the max over s = 0, s = inf and the positive roots is exact.
+    """
+    auu, avv, buu, bvv = apply_form(a, u), apply_form(a, v), apply_form(b, u), apply_form(b, v)
+    auv = a[0] * u[0] * v[0] + a[1] * (u[0] * v[1] + u[1] * v[0]) + a[2] * u[1] * v[1]
+    buv = b[0] * u[0] * v[0] + b[1] * (u[0] * v[1] + u[1] * v[0]) + b[2] * u[1] * v[1]
+    c2, c1, c0 = avv * buv - auv * bvv, avv * buu - auu * bvv, auv * buu - auu * buv
+    roots = []
+    if c2 != 0.0:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc >= 0.0:
+            r = math.sqrt(disc)
+            roots += [(-c1 + r) / (2.0 * c2), (-c1 - r) / (2.0 * c2)]
+    elif c1 != 0.0:
+        roots.append(-c0 / c1)
+    best = max(auu / buu, avv / bvv)
+    for s in roots:
+        if 0.0 < s < math.inf:
+            den = buu + 2.0 * buv * s + bvv * s * s
+            if den > 0.0:
+                best = max(best, (auu + 2.0 * auv * s + avv * s * s) / den)
+    return best
 
 
 def torus_bruteforce_sup(form_num, form_den, depth: int):
@@ -388,7 +435,7 @@ def norm_forms(tau: TorusPoint, v: TangentVector):
     dx = (0.0, 1.0 / y, 2.0 * x / y)
     dy = (-1.0 / (y * y), -x / (y * y), 1.0 - x * x / (y * y))
     g = tuple(v.vx * dxi + v.vy * dyi for dxi, dyi in zip(dx, dy))
-    return g, _q_form(tau)
+    return g, (1.0 / y, x / y, (x * x + y * y) / y)
 
 
 def teich_norm_sup_parts(
@@ -400,18 +447,18 @@ def teich_norm_sup_parts(
 ) -> tuple[float, SupRatioResult]:
     """(closed-form circle max at tau, certified Farey sup) of dExt/(2 Ext)."""
     g, q = norm_forms(tau, v)
-    circle = 0.5 * _max_gen_eig(g, q)
+    circle = 0.5 * max_gen_eig(g, q)
     # The engine wants finite objectives and works with an absolute
     # tolerance; shift the sign-indefinite ratio into positive territory.
-    low = -0.5 * _max_gen_eig(tuple(-gi for gi in g), q)
+    low = -0.5 * max_gen_eig(tuple(-gi for gi in g), q)
     shift = 1.0 + max(0.0, -low)
 
     def objective(s: Slope) -> float:
         u = s.direction()
-        return 0.5 * _apply_form(g, u) / _apply_form(q, u) + shift
+        return 0.5 * apply_form(g, u) / apply_form(q, u) + shift
 
     def bound(left: Slope, right: Slope, opp: Slope) -> float:
-        return 0.5 * _cone_ratio_max(g, q, *cone_directions(left, right, opp)) + shift
+        return 0.5 * cone_ratio_max(g, q, *cone_directions(left, right, opp)) + shift
 
     res = maximize(
         SupQuery(objective, bound, tolerance=tol, max_depth=max_depth, max_evals=max_evals)

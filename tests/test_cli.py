@@ -58,7 +58,7 @@ class TestDistTeich:
         assert payload["command"] == "dist-teich"
 
     def test_depth_cap_is_noted_on_stderr(self, capsys):
-        # the argmax sits on the ray -n/1, where the cone bound closes like 1/depth
+        # the argmax -602/1 lies 602 deep, past the cap
         assert main(["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i",
                      "--max-depth", "20"]) == 0
         out, err = capsys.readouterr()
@@ -71,7 +71,7 @@ class TestDistTeich:
         ]
 
     def test_eval_cap_is_noted_on_stderr(self, capsys, monkeypatch):
-        # the ray jump certifies this pair in 5 evaluations, so only a cap at
+        # the walk certifies this pair in 5 evaluations, so only a cap at
         # the 4 root evaluations stops it
         args = ["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i"]
         capped = functools.partial(torus.teich_distance_enum, max_evals=4)
@@ -86,31 +86,40 @@ class TestDistTeich:
             f"gap frontier_bound - value = {gap!r}"
         ]
 
-    def test_unbounded_frontier_is_noted_as_infinite(self, capsys):
-        # the argmax lies past the default cap, under cells whose bound is inf
+    def test_deep_argmax_certifies_with_no_cap(self, capsys):
+        # the argmax n/1 lies past 10**6 and past the float range
         args = ["dist-teich", "--from=-4.9607694239991494e153+9.887243906821714e153i",
                 "--to=-2.898885002286508e153+11.160320892826977i"]
         assert main(args) == 0
         out, err = capsys.readouterr()
         engine = json.loads(out)["engine"]
-        assert engine["certified"] is False and engine["frontier_bound"] is None
-        assert err.splitlines() == [
-            "note: not certified at tol 1e-06: depth cap at 1000000, "
-            "gap frontier_bound - value = inf"
-        ]
-        # past the float range, the deep slope certifies instead of exiting 2
-        assert main(args + ["--max-depth", "1" + "0" * 400]) == 0
+        assert engine["certified"] is True and engine["max_depth"] is None and err == ""
+        # a cap stops the walk there, under the same finite frontier bound
+        assert main(args + ["--max-depth", "1000000"]) == 0
         out, err = capsys.readouterr()
-        assert json.loads(out)["engine"]["certified"] is True and err == ""
+        capped = json.loads(out)["engine"]
+        assert capped["certified"] is False
+        assert capped["frontier_bound"] == engine["frontier_bound"]
+        gap = capped["frontier_bound"] - capped["value"]
+        assert err.splitlines() == [
+            f"note: not certified at tol 1e-06: depth cap at 1000000, "
+            f"gap frontier_bound - value = {gap!r}"
+        ]
 
     def test_ray_pair_certifies_at_the_default_depth_cap(self, capsys):
         # its argmax -602/1 lies 602 deep, below the former default cap of 256
         assert main(["dist-teich", "--from=-0.198+6.648i", "--to=-0.271+0.471i"]) == 0
         out, err = capsys.readouterr()
         engine = json.loads(out)["engine"]
-        assert (engine["certified"], engine["argmax"], engine["max_depth"]) == (True, "-602/1", 10**6)
+        assert (engine["certified"], engine["argmax"], engine["max_depth"]) == (True, "-602/1", None)
         assert engine["evals"] <= 10
         assert err == ""
+
+    def test_argmax_past_the_former_cap_certifies(self, capsys):
+        # 1/3000000 lies 2999999 deep, past the former default cap of 10**6
+        assert main(["dist-teich", "--from", "i", "--to", "3000000+i", "--require-certified"]) == 0
+        engine = json.loads(capsys.readouterr().out)["engine"]
+        assert (engine["value"], engine["argmax"]) == (9000000000002.0, "1/3000000")
 
     @pytest.mark.parametrize(
         "src, dst",
@@ -278,6 +287,29 @@ class TestNorms:
             assert payload["engine"]["value"] == payload["norm"]
             assert (payload["chart_vx"], payload["engine"]["tol"]) == (vx, 1e-6)
 
+    def test_norm_thurston_is_homogeneous_at_subnormal_tangents(self, capsys):
+        # a subnormal tangent is scaled up first, so the lift and the objectives
+        # keep their digits: the argmax is that of the same direction at unit size
+        def engine(vx, vy):
+            argv = ["norm-thurston", "--at", "3,3,6", f"--vx={vx!r}", f"--vy={vy!r}",
+                    "--max-depth", "6"]
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)["engine"]
+
+        for k in (1, 2, 6):
+            tiny, unit = engine(k * 5e-324, 5e-324), engine(float(k), 1.0)
+            assert tiny["argmax"] == unit["argmax"]
+            assert tiny["value"] == pytest.approx(unit["value"] * 5e-324, abs=5e-324)
+        assert main(["norm-thurston", "--at", "3,3,6", "--vx", "1e-310", "--vy", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["norm"] == 4.646743619034771e-311
+
+    @pytest.mark.parametrize("vx", ["1e-300", "1e-310", "1", "1e308"])
+    def test_norm_thurston_takes_a_huge_tol_at_any_tangent(self, capsys, vx):
+        # the scaled tol must stay finite, whichever way the tangent is scaled
+        assert main(["norm-thurston", "--at", "3,3,6", "--vx", vx, "--vy", "0",
+                     "--tol", "1e300", "--max-depth", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["engine"]["tol"] == 1e300
+
     @pytest.mark.parametrize("tol,depth", [(0.3, 0), (0.03, 3)])
     def test_norm_thurston_stabilization_depth_is_homogeneous(self, capsys, tol, depth):
         # tol is in the norm's units, so it scales with the tangent
@@ -332,14 +364,18 @@ class TestDualSphere:
         points = json.loads(capsys.readouterr().out)["points"]
         tau = complex(at.replace("i", "j"))
         x, y = tau.real, tau.imag
-        for point in points:
-            # at x + iy, dExt/Ext of direction theta is (sin 2phi, -cos 2phi)/y
-            # with phi the argument of cos(theta) + sin(theta)*tau
-            c, s = math.cos(point["angle"]), math.sin(point["angle"])
-            phi = math.atan2(s * y, c + s * x)
+        for j, point in enumerate(points):
+            # sample j is the foliation of angle phi = pi*j/64 at i, where dExt/Ext
+            # is (sin 2phi, -cos 2phi); at x + iy that over y, labelled with the
+            # angle of its direction (cos phi - x sin(phi)/y, sin(phi)/y) at tau
+            phi = math.pi * j / 64
             assert math.isfinite(point["gx"]) and math.isfinite(point["gy"])
             assert abs(point["gx"] - math.sin(2 * phi) / y) <= 1e-12 / y
             assert abs(point["gy"] + math.cos(2 * phi) / y) <= 1e-12 / y
+            v = math.sin(phi) / y
+            theta = math.atan2(v, math.cos(phi) - x * v)
+            assert 0.0 <= point["angle"] < math.pi
+            assert abs(point["angle"] - theta) <= 1e-12 or point["angle"] == theta - math.pi
 
 
 class TestExperiments:

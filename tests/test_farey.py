@@ -8,7 +8,6 @@ from torusmetrics.farey import (
     FareyNode,
     Slope,
     add_slopes,
-    cone_directions,
     direction,
     enumerate_slopes,
     intersection_number,
@@ -22,7 +21,7 @@ from torusmetrics.farey import (
 )
 from torusmetrics.supratio import _tier_slope
 
-from _oracles import lattice_intersection_count, swept_states
+from _oracles import cone_directions, lattice_intersection_count, swept_states
 
 
 class TestSlope:
@@ -220,7 +219,7 @@ class TestFareyNode:
         assert neg.mirrored and neg.mediant_slope() == Slope(-1, 1)
 
     def test_cone_directions_span_every_slope_inside_the_cell(self):
-        # the cone bound of the flat torus is sound only if every slope below
+        # the oracles' flat-torus cone bound is sound only if every slope below
         # a cell is a positive integer combination of its endpoint directions
         for cell, node in _cells_and_nodes(8):
             (ux, uy), (vx, vy) = cone_directions(*cell[6:])

@@ -143,8 +143,8 @@ def test_flat_torus_panel_is_golden():
     recorded = json.loads((GOLDEN / "flat_torus.json").read_text(encoding="utf-8"))
     assert [entry["case"] for entry in recorded] == flat_torus_inputs()
     results = [entry["result"] for entry in recorded]
-    # the panel must keep covering the cone bound on both blocks and the
-    # searches that max_depth stops uncertified
+    # the panel must keep covering argmaxes on both sides of the tree and
+    # the searches that max_depth stops uncertified
     assert any(r["argmax"].startswith("-") for r in results)
     assert any(not r["certified"] and r["depth_reached"] == 256 for r in results)
     for entry in recorded:

@@ -21,12 +21,12 @@ sys.path[:0] = [{src!r}, {perfbench!r}]
 from tracing import Tracer
 from torusmetrics import ptorus, torus
 
-# the argmax of this pair lies on the ray -n/1, which the search jumps along
+# the argmax of this pair lies 602 deep; the walk certifies it without the engine
 pair = (torus.TorusPoint(-0.198, 6.648), torus.TorusPoint(-0.271, 0.471))
 X, Y = ptorus.MarkovPoint(3.0, 3.0, 3.0), ptorus.MarkovPoint(3.0, 3.0, 6.0)
 V = ptorus.tangent_from_chart(Y, 1.0, 0.0)
 queries = [
-    lambda: torus.teich_distance_enum(*pair),  # certified, with ray jumps
+    lambda: torus.teich_distance_enum(*pair),  # certified by the continued-fraction walk
     lambda: ptorus.thurston_distance(X, Y, max_depth=10),  # a pruned tier sweep
     lambda: ptorus.thurston_norm(Y, V, max_depth=8),  # a full tier sweep
 ]
@@ -55,9 +55,11 @@ def test_benchmark_tracer_installs_on_the_package():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
-    (teich, teich_bounds, _), (dist, dist_bounds, _), (norm, norm_bounds, _) = rows
-    assert all(evals == untraced_evals > 0 for evals, _, untraced_evals in rows)
-    assert teich_bounds > 0 and dist_bounds > 0 and norm_bounds == 0
+    (teich, teich_bounds, teich_evals), (dist, dist_bounds, _), (norm, norm_bounds, _) = rows
+    # the flat-torus distance runs no engine, so the tracer counts nothing there
+    assert teich == teich_bounds == 0 < teich_evals
+    assert all(evals == untraced_evals > 0 for evals, _, untraced_evals in rows[1:])
+    assert dist_bounds > 0 and norm_bounds == 0
     # the pruned sweep drops cells; the norm's sweep has no bound to drop them by
     assert dist < 3 * 2 ** 10 and norm == 3 * 2 ** 8
 
@@ -100,6 +102,29 @@ def test_runtime_does_not_import_typing():
     # every CLI call pays for its imports; annotations are never evaluated
     # (from __future__ import annotations), so they need no typing names
     assert [f for f, module in _absolute_imports() if module == "typing"] == []
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # exact arithmetic runs on Python ints: fractions alone costs ~3 ms to
+    # import, which every CLI call would pay; -I ignores PYTHONPATH and site
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import torusmetrics; "
+              "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
+def test_oracles_import_no_private_name_of_the_package():
+    # an oracle that borrows the code it checks cannot catch its faults
+    path = ROOT / "tests" / "_oracles.py"
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("torusmetrics")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 _CACHE_DECORATORS = {"cache", "lru_cache"}

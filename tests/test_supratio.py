@@ -5,7 +5,7 @@ import random
 import pytest
 
 from torusmetrics import ptorus
-from torusmetrics.farey import Slope, cone_directions, enumerate_slopes, path_state
+from torusmetrics.farey import Slope, enumerate_slopes, path_state
 from torusmetrics.ptorus import (
     TraceCache,
     from_parameters,
@@ -15,7 +15,7 @@ from torusmetrics.ptorus import (
 )
 from torusmetrics.supratio import SupQuery, maximize
 
-from _oracles import torus_bruteforce_sup, torus_form
+from _oracles import cone_directions, torus_bruteforce_sup, torus_form
 
 
 def constant_bound(value):
@@ -166,23 +166,11 @@ class TestErrorHandling:
             SupQuery(lambda s: 1.0, None, roots=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="together"):
             SupQuery(lambda s: 1.0, None, combine=lambda a, b, c: a)
-        with pytest.raises(ValueError, match="ray hook needs a subtree bound"):
-            SupQuery(lambda s: 1.0, None, ray=lambda s_base, s_axis, s_prev, jmax: None)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_is_rejected(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             SupQuery(lambda s: 1.0, None, tolerance=tol)
-
-    @pytest.mark.parametrize("step", [0, 2])
-    def test_ray_step_outside_the_cap_is_rejected(self, step):
-        # at max_depth 1 a popped depth-1 cell allows only j = 1
-        def ray(s_base, s_axis, s_prev, jmax):
-            return step, s_base, s_base
-
-        with pytest.raises(ValueError, match="ray step"):
-            maximize(SupQuery(lambda s: 1.0 / (1.0 + s.q), constant_bound(2.0),
-                              max_depth=1, ray=ray))
 
 
 class TestStabilizationDepth:

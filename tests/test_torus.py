@@ -1,14 +1,12 @@
-import dataclasses
 import math
 import random
 from array import array
 
-import numpy as np
 import pytest
 import scipy.linalg
 from scipy.spatial import ConvexHull
 
-from torusmetrics import supratio, torus
+from torusmetrics import torus
 from torusmetrics.errors import InvalidPointError
 from torusmetrics.farey import Slope, enumerate_slopes
 from torusmetrics.torus import (
@@ -16,8 +14,6 @@ from torusmetrics.torus import (
     TangentVector,
     TorusPoint,
     WeightedFoliation,
-    _apply_form,
-    _ray_step,
     d_extremal,
     dual_sphere,
     dual_sphere_with_directions,
@@ -31,6 +27,7 @@ from torusmetrics.torus import (
 )
 
 from _oracles import (
+    apply_form,
     central_diff,
     dual_sphere_reference,
     norm_forms,
@@ -459,160 +456,94 @@ def tree_depth(p, q):
     return total - 1 + (p < 0)
 
 
-# tau1 = -0.198+6.648i to tau2 = -0.271+0.471i peaks on the ray -n/1 at -602/1
-RAY_PAIR = (TorusPoint(-0.198, 6.648), TorusPoint(-0.271, 0.471))
+def reduced_modulus(rng):
+    """A modulus in the modular fundamental domain, where the walk's frame is the given one."""
+    return TorusPoint(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 4.0))
 
 
-class TestRayJumps:
-    """teich_distance_enum jumps along rays of slopes base + j*axis (supratio.SupQuery.ray)."""
+# tau1 = -0.198+6.648i to tau2 = -0.271+0.471i peaks at the slope -602/1, 602 deep
+DEEP_PAIR = (TorusPoint(-0.198, 6.648), TorusPoint(-0.271, 0.471))
+
+
+class TestStretchWalk:
+    """teich_distance_enum walks the convergents of the stretch direction."""
 
     @staticmethod
     def record(monkeypatch):
-        """Capture each query, each evaluated (p, q, depth) and each region a jump leaves."""
-        seen = {"queries": [], "evals": [], "regions": []}
-        maximize, evaluate, jump = torus.maximize, supratio._Search.evaluate, supratio.jump
+        """Capture each slope (p, q) the walk evaluates, in its reduced frame."""
+        seen = []
+        direction = torus.direction
 
-        def record_maximize(query):
-            seen["queries"].append(query)
-            return maximize(query)
+        def record_direction(p, q):
+            seen.append((p, q))
+            return direction(p, q)
 
-        def record_evaluate(search, p, q, depth, state):
-            seen["evals"].append((p, q, depth, state))
-            return evaluate(search, p, q, depth, state)
-
-        def record_jump(region, ray, max_depth):
-            out = jump(region, ray, max_depth)
-            seen["regions"].extend(out[4])
-            return out
-
-        monkeypatch.setattr(torus, "maximize", record_maximize)
-        monkeypatch.setattr(supratio._Search, "evaluate", record_evaluate)
-        monkeypatch.setattr(supratio, "jump", record_jump)
+        monkeypatch.setattr(torus, "direction", record_direction)
         return seen
 
     def test_workload_panel_certifies_in_few_evaluations(self):
         rng = random.Random(20261020)
         tol = 1e-6
+        evals = []
         for _ in range(1500):
             t1, t2 = workload_modulus(rng), workload_modulus(rng)
             res = teich_distance_enum(t1, t2)
             assert res.certified, (t1, t2)
             assert abs(res.value - math.exp(2.0 * teich_distance_oracle(t1, t2))) <= tol, (t1, t2)
             assert res.evals <= 20, (t1, t2)
+            evals.append(res.evals)
+        assert sorted(evals)[int(0.9 * len(evals))] <= 15
 
-    def test_ray_pair_certifies_deeper_than_the_former_cap(self):
-        res = teich_distance_enum(*RAY_PAIR)
+    def test_deep_argmax_certifies_in_few_evaluations(self):
+        res = teich_distance_enum(*DEEP_PAIR)
         assert res.certified
         assert res.argmax == Slope(-602, 1)
         assert res.evals <= 10
-        assert abs(res.value - math.exp(2.0 * teich_distance_oracle(*RAY_PAIR))) <= 1e-6
+        assert res.stabilization_depth == res.depth_reached == 602
+        assert abs(res.value - math.exp(2.0 * teich_distance_oracle(*DEEP_PAIR))) <= 1e-6
 
     def test_slopes_past_2_500_certify(self):
         # the argmax n/1 has 514 bits: the squares of float(n) overflow, so
         # the forms are evaluated on (n, 1) scaled by a power of two
         pair = (TorusPoint(-4.9607694239991494e153, 9.887243906821714e153),
                 TorusPoint(-2.898885002286508e153, 11.160320892826977))
-        res = teich_distance_enum(*pair, max_depth=10**400)
+        res = teich_distance_enum(*pair)
         assert res.certified and res.evals <= 10
         assert res.argmax.q == 1 and res.argmax.p.bit_length() > 500
         assert res.value == pytest.approx(math.exp(2.0 * teich_distance_oracle(*pair)), rel=1e-12)
-        # at the default cap the deep cells stay closed under an unbounded frontier
-        capped = teich_distance_enum(*pair)
-        assert not capped.certified and capped.frontier_bound == math.inf
+        # a cap clips the walk at the cap, under the same finite bound
+        capped = teich_distance_enum(*pair, max_depth=10**6)
+        assert not capped.certified and capped.depth_reached == 10**6
+        assert capped.frontier_bound == res.frontier_bound
 
     @pytest.mark.parametrize("max_depth", [1, 5, 20, 256, 10**6])
     def test_evaluated_depths_are_tree_depths_within_the_cap(self, monkeypatch, max_depth):
         seen = self.record(monkeypatch)
         rng = random.Random(max_depth)
-        pairs = [RAY_PAIR] + [(workload_modulus(rng), workload_modulus(rng)) for _ in range(40)]
+        pairs = [DEEP_PAIR] + [(reduced_modulus(rng), workload_modulus(rng)) for _ in range(40)]
+        capped = 0
         for t1, t2 in pairs:
+            seen.clear()
             res = teich_distance_enum(t1, t2, max_depth=max_depth)
-            assert res.depth_reached <= max_depth
-        assert seen["regions"]
-        for p, q, depth, state in seen["evals"]:
-            assert state == Slope(p, q)
-            assert depth == tree_depth(p, q) <= max_depth
+            depths = [tree_depth(p, q) for p, q in seen]
+            assert len(depths) == res.evals
+            assert res.depth_reached == max(depths) <= max_depth
+            assert res.stabilization_depth == tree_depth(res.argmax.p, res.argmax.q)
+            assert res.certified or res.depth_reached == max_depth
+            capped += not res.certified
+        assert capped > 0 if max_depth < 602 else capped == 0
 
-    def test_one_step_jumps_reproduce_the_split_search(self, monkeypatch):
-        # with j = 1 a cell leaves exactly its split children, so the search
-        # without the hook runs the same pops in the same order
-        seen = self.record(monkeypatch)
-        rng = random.Random(61)
-        for _ in range(60):
-            teich_distance_enum(workload_modulus(rng), workload_modulus(rng), max_depth=40)
-        for query in seen["queries"]:
-            one_step = dataclasses.replace(
-                query, ray=lambda s_base, s_axis, s_prev, jmax: query.ray(s_base, s_axis, s_prev, 1))
-            assert supratio.maximize(one_step) == supratio.maximize(
-                dataclasses.replace(query, ray=None))
-
-    def test_fan_bound_covers_every_slope_inside(self, monkeypatch):
-        seen = self.record(monkeypatch)
+    def test_bruteforce_stays_under_the_value_and_the_frontier_bound(self):
+        # every slope to depth 14 scores at most the certified value plus tol,
+        # and at most lambda_hi, which bounds every slope
         rng = random.Random(67)
-        mirrored_axis_1_0 = False
-        for t1, t2 in [RAY_PAIR] + [(workload_modulus(rng), workload_modulus(rng)) for _ in range(30)]:
-            seen["queries"].clear()
-            seen["regions"].clear()
-            teich_distance_enum(t1, t2)
-            (query,) = seen["queries"]
-            fans = [r for r in seen["regions"] if len(r) == 11]
-            # the canonical 1/0 stands for (-1, 0) as the axis of mirrored fans
-            mirrored_axis_1_0 |= any(r[5] == -1 and r[3] == 0 for r in fans)
-            for bp, bq, ap, aq, _, sign, s_base, s_end, s_axis, s_prev, steps in fans:
-                assert s_base == Slope.of(sign * bp, bq)
-                assert s_end == Slope.of(sign * (bp + steps * ap), bq + steps * aq)
-                assert s_axis == Slope.of(sign * ap, aq)
-                assert s_prev == Slope.of(sign * (bp - ap), bq - aq)
-                bound = query.subtree_bound(s_base, s_end, s_axis)
-                # the slopes strictly inside the cone of B and B + steps*A are
-                # x*B + y*A with x >= 1 and 0 < y < steps*x; y is sampled near both sides
-                for x in range(1, 6):
-                    ys = set(range(1, min(steps * x, 40))) | set(range(max(1, steps * x - 40), steps * x))
-                    for y in ys:
-                        if math.gcd(x, y) == 1:
-                            p, q = x * bp + y * ap, x * bq + y * aq
-                            assert query.objective(Slope(sign * p, q)) <= bound * (1 + 1e-12)
-        assert mirrored_axis_1_0
-
-    @staticmethod
-    def peaked_forms(rng, base, axis, peak):
-        """Forms (a, b) whose ratio peaks at base + peak*axis: a = b + (b w)(b w)^T."""
-        t = workload_modulus(rng)
-        b = torus._q_form(t)
-        w = (base[0] + peak * axis[0], base[1] + peak * axis[1])
-        g = (b[0] * w[0] + b[1] * w[1], b[1] * w[0] + b[2] * w[1])
-        lam = rng.uniform(0.1, 10.0) / _apply_form(b, w)  # the peak value is 1 + that uniform
-        return (b[0] + lam * g[0] * g[0], b[1] + lam * g[0] * g[1], b[2] + lam * g[1] * g[1]), b
-
-    def test_ray_step_is_the_integer_argmax_next_to_the_peak(self):
-        rng = random.Random(71)
-        dips = far_ends = 0
-        for case in range(600):
-            jmax = rng.choice([1, 2, 3, 5, 40, 300])
-            base, axis = rng.choice([((1, 1), (1, 0)), ((2, 1), (1, 0)), ((1, 2), (0, 1)),
-                                     ((3, 5), (1, 2)), ((-1, 1), (-1, 0)), ((-3, 1), (-1, 0))])
-            peak = rng.choice([rng.uniform(-3.0, 1.0), rng.uniform(1.0, jmax),
-                               rng.uniform(1.0, 2.0 * jmax + 2)])
-            a, b = self.peaked_forms(rng, base, axis, peak)
-            # the peak from the generalized eigenproblem, as s in base + s*axis
-            _, vecs = scipy.linalg.eigh(np.array([[a[0], a[1]], [a[1], a[2]]]),
-                                        np.array([[b[0], b[1]], [b[1], b[2]]]))
-            mu, nu = np.linalg.solve(np.array([base, axis], float).T, vecs[:, -1])
-            peak = nu / mu
-
-            def ratio(j):
-                w = (float(base[0] + j * axis[0]), float(base[1] + j * axis[1]))
-                return _apply_form(a, w) / _apply_form(b, w)
-
-            values = [ratio(j) for j in range(1, jmax + 1)]
-            brute = 1 + max(range(jmax), key=lambda i: (values[i], -i))
-            # off the arc, the integer argmax can sit at the far end of a dip
-            # in the ratio; the step stays next to the peak
-            expected = 1 if peak < 1 else jmax if peak > jmax else brute
-            dips += any(values[i - 1] > values[i] < values[i + 1] for i in range(1, jmax - 1))
-            far_ends += expected != brute
-            assert _ray_step(a, b, base, axis, jmax) == expected, (case, peak, jmax)
-        assert dips > 0 and far_ends > 0
+        tol = 1e-6
+        for t1, t2 in [DEEP_PAIR] + [(workload_modulus(rng), workload_modulus(rng)) for _ in range(30)]:
+            res = teich_distance_enum(t1, t2, tol=tol)
+            brute, _ = torus_bruteforce_sup(torus_form(t2.x, t2.y), torus_form(t1.x, t1.y), 14)
+            assert res.certified
+            assert brute <= res.value + tol
+            assert max(brute, res.value) <= res.frontier_bound
 
 
 class TestTeichNorm:
@@ -741,9 +672,9 @@ class TestDualSphere:
             dy, _ = norm_forms(tau, TangentVector(0.0, 1.0))
             for theta, g in dual_sphere_with_directions(tau, 64):
                 u = (math.cos(theta), math.sin(theta))
-                ext = _apply_form(q, u)
-                assert abs(g.gx - _apply_form(dx, u) / ext) <= 1e-12 / tau.y
-                assert abs(g.gy - _apply_form(dy, u) / ext) <= 1e-12 / tau.y
+                ext = apply_form(q, u)
+                assert abs(g.gx - apply_form(dx, u) / ext) <= 1e-12 / tau.y
+                assert abs(g.gy - apply_form(dy, u) / ext) <= 1e-12 / tau.y
 
     def test_matches_the_two_pass_reference_bit_for_bit(self):
         def bits(rows):
