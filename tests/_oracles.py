@@ -406,21 +406,22 @@ def polygon_is_convex_with_origin(points) -> bool:
 # -- the dual sphere's samples, by the two-pass loop --------------------------
 
 def dual_sphere_reference(tau: TorusPoint, n: int) -> list[tuple[float, float, float]]:
-    """(theta, gx, gy) per sample, by a two-pass loop: (angle, pair) first.
+    """(theta, gx, gy) per sample, by a two-pass loop: the angles at i first.
 
-    Its per-sample arithmetic is torus.dual_sphere's, in the same operand
-    order, so the library's one-pass loop must match it bit for bit.
+    Sample j is the foliation of angle phi = pi*j/n at i, (sin 2phi,
+    -cos 2phi)/y at tau, labelled with the angle theta in [0, pi) of its
+    direction (cos phi - x sin(phi)/y, sin(phi)/y) at tau.  The per-sample
+    arithmetic is torus.dual_sphere's and dual_sphere_with_directions', so
+    the library must match it bit for bit.
     """
     x, y = tau.x, tau.y
+    phis = [math.pi * j / n for j in range(n)]
     out = []
-    for j in range(n):
-        theta = math.pi * j / n
-        c, s = math.cos(theta), math.sin(theta)
-        a, b = c + s * x, s * y
-        r = math.hypot(a, b)
-        a, b = a / r, b / r
-        out.append((theta, (2.0 * a * b / y, (b - a) * (b + a) / y)))
-    return [(theta, gx, gy) for theta, (gx, gy) in out]
+    for phi in phis:
+        v = math.sin(phi) / y
+        theta = math.atan2(v, math.cos(phi) - x * v) % math.pi
+        out.append((theta, math.sin(2.0 * phi) / y, -(math.cos(2.0 * phi) / y)))
+    return out
 
 
 # -- the flat-torus norm by the Farey engine --------------------------------
