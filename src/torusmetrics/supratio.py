@@ -1,11 +1,11 @@
 """Certified maximization of functionals over all rational slopes.
 
 The engine drives the suprema over curves on the punctured torus (the
-flat-torus distance walks one path of the tree in closed form instead, see
-torus.teich_distance_enum).  It descends
-the Stern-Brocot tree best-first when the caller can bound the objective
-over a whole subtree, and prunes once no unexplored cell can beat the best
-value by more than the tolerance; the result is then certified.  Without a
+flat-torus distance walks one path of the tree instead, see
+torus.teich_distance_enum).  It descends the Stern-Brocot tree best-first
+when the caller can bound the objective over a whole subtree, and prunes
+once no unexplored cell can beat the best value by more than the
+tolerance; the result is then certified.  Without a
 sound bound it falls back to an exhaustive sweep down to ``max_depth`` and
 reports honestly that nothing was certified, along with the depth at which
 the value empirically stabilized.  Both modes carry a per-slope state

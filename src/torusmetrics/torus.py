@@ -323,14 +323,15 @@ def teich_distance_enum(
     if max_evals < len(_ROOTS):
         raise ValueError("max_evals must allow at least the root evaluations")
     x1, y1, x2, y2 = tau1.x, tau1.y, tau2.x, tau2.y
-    _forms(x1, y1, x2, y2)
+    a, b = _forms(x1, y1, x2, y2)
     s = math.hypot(x2 - x1, y2 - y1) / (2.0 * math.sqrt(y1) * math.sqrt(y2))
     lam = (s + math.sqrt(1.0 + s * s)) ** 2  # e^(2d), d = asinh(s) as in the oracle
     lam_hi = lam * (1.0 + _ROUNDING)
     if not lam_hi < math.inf:
         raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
     m, (x1, y1), (x2, y2) = _reduced_frame(tau1, tau2)
-    a, b = _forms(x1, y1, x2, y2)
+    if m != (1, 0, 0, 1):
+        a, b = _forms(x1, y1, x2, y2)
     target = lam_hi - max(tol, 2.0 * _ROUNDING * lam_hi)
     # e+ is normal to the row of A - lam*B further from 0
     rows = ((a[0] - lam * b[0], a[1] - lam * b[1]), (a[1] - lam * b[1], a[2] - lam * b[2]))
