@@ -194,7 +194,8 @@ def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
     two extremal-length forms; tests cross-check the two routes.
     """
     dz = math.hypot(tau2.x - tau1.x, tau2.y - tau1.y)
-    return math.asinh(dz / (2.0 * math.sqrt(tau1.y) * math.sqrt(tau2.y)))
+    # halving dz first keeps 2 sqrt(y1 y2) from overflowing at y near 1e308
+    return math.asinh(0.5 * dz / (math.sqrt(tau1.y) * math.sqrt(tau2.y)))
 
 
 # Relative rounding allowance of lambda_hi over e^(2d) and over every ratio
@@ -218,29 +219,30 @@ def _moebius(m: tuple, x: float, y: float) -> tuple[float, float]:
 
 def _reduced_frame(tau1: TorusPoint, tau2: TorusPoint) -> tuple:
     """(M, M tau1, M tau2): M = (a, b, c, d) in SL(2,Z) takes tau1 to the modular
-    fundamental domain by Lagrange-Gauss steps, and each image is exact, rounded once.
+    fundamental domain, and each image is exact, rounded once.
 
-    The steps run in floats; each inversion magnifies the error of x by 1/|tau|^2,
-    so past 2^20 they resume from the exact image, and inverting only under
-    1 - 2^-24 makes each one raise y by a factor floats resolve.
+    Lagrange-Gauss reduction of the lattice Z + Z tau1 in integers (Cohen,
+    GTM 138, 1.3.14): the basis u = 1, v = tau1, times xd*yd, with
+    v = a*tau1 + b and u = c*tau1 + d; translate v by the multiple of u
+    nearest to it, and swap while v is the shorter.  Float steps cannot keep
+    x to within 1/2 once the image's |x| passes 2^53.
     """
-    x, y = tau1.x, tau1.y
+    xn, xd = tau1.x.as_integer_ratio()
+    yn, yd = tau1.y.as_integer_ratio()
+    u0, u1, v0, v1 = xd * yd, 0, xn * yd, yn * xd
     a, b, c, d = 1, 0, 0, 1
-    gain = 1.0
     while True:
-        if gain > 2.0**20:
-            (x, y), gain = _moebius((a, b, c, d), tau1.x, tau1.y), 1.0
-        n = round(x)
-        a, b, x = a - n * c, b - n * d, x - n
-        r = math.hypot(x, y)
-        if not r < 1.0 - 2.0**-24:
+        n = u0 * u0 + u1 * u1
+        k = (2 * (u0 * v0 + u1 * v1) + n) // (2 * n)
+        v0, v1, a, b = v0 - k * u0, v1 - k * u1, a - k * c, b - k * d
+        if v0 * v0 + v1 * v1 >= n:
             break
-        gain = gain / r / r
-        a, b, c, d, x, y = -c, -d, a, b, -x / r / r, y / r / r
+        u0, u1, v0, v1, a, b, c, d = v0, v1, -u0, -u1, -c, -d, a, b
     m = (a, b, c, d)
     if m == (1, 0, 0, 1):
         return m, (tau1.x, tau1.y), (tau2.x, tau2.y)
-    return m, _moebius(m, tau1.x, tau1.y), _moebius(m, tau2.x, tau2.y)
+    # tau1's image is v/u
+    return m, ((u0 * v0 + u1 * v1) / n, (u0 * v1 - u1 * v0) / n), _moebius(m, tau2.x, tau2.y)
 
 
 def _forms(x1: float, y1: float, x2: float, y2: float) -> tuple[tuple, tuple]:
@@ -324,7 +326,7 @@ def teich_distance_enum(
         raise ValueError("max_evals must allow at least the root evaluations")
     x1, y1, x2, y2 = tau1.x, tau1.y, tau2.x, tau2.y
     a, b = _forms(x1, y1, x2, y2)
-    s = math.hypot(x2 - x1, y2 - y1) / (2.0 * math.sqrt(y1) * math.sqrt(y2))
+    s = 0.5 * math.hypot(x2 - x1, y2 - y1) / (math.sqrt(y1) * math.sqrt(y2))
     lam = (s + math.sqrt(1.0 + s * s)) ** 2  # e^(2d), d = asinh(s) as in the oracle
     lam_hi = lam * (1.0 + _ROUNDING)
     if not lam_hi < math.inf:
@@ -333,9 +335,12 @@ def teich_distance_enum(
     if m != (1, 0, 0, 1):
         a, b = _forms(x1, y1, x2, y2)
     target = lam_hi - max(tol, 2.0 * _ROUNDING * lam_hi)
-    # e+ is normal to the row of A - lam*B further from 0
-    rows = ((a[0] - lam * b[0], a[1] - lam * b[1]), (a[1] - lam * b[1], a[2] - lam * b[2]))
-    row = max(rows, key=lambda r: abs(r[0]) + abs(r[1]))
+    # e+ is normal to the row of A - lam*B further from 0, of those that stay finite
+    rows = [r for r in ((a[0] - lam * b[0], a[1] - lam * b[1]), (a[1] - lam * b[1], a[2] - lam * b[2]))
+            if math.isfinite(r[0]) and math.isfinite(r[1])]
+    if not rows:
+        raise OverflowError(f"the stretch direction from {tau1} to {tau2} overflows")
+    row = max(rows, key=lambda r: max(abs(r[0]), abs(r[1])))
     # ties go to the shallower, then the smaller slope; each convergent lies
     # deeper than every slope before it but -1/1, the smaller
     v, depth, p, q = min((-_ratio(a, b, p, q), depth, p, q) for p, q, depth in _ROOTS)

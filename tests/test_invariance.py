@@ -6,7 +6,7 @@ exact.  So every certified distance must match the oracle, stay put under
 tau -> tau + n, tau -> -1/tau and tau -> -conj(tau), and keep its argmax
 up to the slope map of the isometry.  The bands are those where searching
 in the given frame used to certify wrong distances: |x| from 1e4 to 1e12,
-thin moduli, and y from 1e-300 to 1e300.
+thin moduli, y from 1e-300 to 1e300, and y far below a small x.
 """
 
 import math
@@ -45,6 +45,8 @@ def band_pairs(seed, count):
         "x 1e8-1e12": lambda: (log_uniform(1e8, 1e12), log_uniform(0.1, 10.0)),
         "thin": lambda: (rng.uniform(0.1, 1.0), log_uniform(1e-8, 1e-5)),
         "y 1e-300-1e300": lambda: (log_uniform(1e-3, 1e12), 10.0 ** rng.uniform(-300.0, 300.0)),
+        # the reduced image's |x| passes 2^53 on the way, past what float steps resolve
+        "y << x << 1": lambda: (10.0 ** rng.uniform(-100.0, -1.0), 10.0 ** rng.uniform(-150.0, -102.0)),
     }
     for band, draw in bands.items():
         for _ in range(count):
@@ -129,14 +131,39 @@ class TestReducedFrame:
             certified += 1
         assert certified >= 200
 
+    def test_extreme_draws_certify_or_overflow(self):
+        # coordinates anywhere in the float range: a numeric fault is an
+        # OverflowError, and a result is certified, within tol of the oracle
+        # and under its own frontier bound
+        rng = random.Random(7)
+
+        def coordinate(positive):
+            v = rng.choice([rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-320.0, 308.0),
+                            rng.uniform(0.0, 1e12), 5e-324, 1.7976931348623157e308])
+            return abs(v) or 1.0 if positive else rng.choice((-1.0, 1.0)) * v
+
+        certified = 0
+        for _ in range(600):
+            src, dst = (coordinate(False), coordinate(True)), (coordinate(False), coordinate(True))
+            res = distance_or_overflow(src, dst)
+            if res is None:
+                continue
+            exact = math.exp(2.0 * teich_distance_oracle(TorusPoint(*src), TorusPoint(*dst)))
+            assert res.certified and res.value <= res.frontier_bound, (src, dst)
+            assert abs(res.value - exact) <= allowance(exact), (src, dst)
+            certified += 1
+        assert certified >= 150
+
     @pytest.mark.parametrize(
         "src, dst, distance",
         [((1e8, 1.0), (1e8, 2.0), 0.5 * math.log(2.0)),
          ((1e8, 1.0), (-1e8, 1.0), math.asinh(1e8)),
          ((-53631.94008501017, 0.11022744463901644), (-53632.04780365433, 0.20628417004299918),
           None),
-         ((1e4, 1e-300), (1e-300, 2.0), None)],
-        ids=["translated", "far-apart", "thin", "tiny-y"],
+         ((1e4, 1e-300), (1e-300, 2.0), None),
+         ((3.4298898631994833e-63, 4.558349018966968e-87), (-745281743992.2761, 0.6927533563556318),
+          None)],
+        ids=["translated", "far-apart", "thin", "tiny-y", "huge-image"],
     )
     def test_former_wrong_distances_certify(self, src, dst, distance):
         # each certified a wrong distance, some negative, when searched in the given frame

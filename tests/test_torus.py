@@ -373,15 +373,18 @@ class TestDistanceEnum:
         "t1, t2, expected",
         [((0.0, 1.0), (0.0, 1e300), 0.5 * math.log(1e300)),
          ((0.0, 1e-300), (0.0, 1.0), 0.5 * math.log(1e300)),
-         ((0.0, 1e-200), (0.0, 2e-200), 0.5 * math.log(2.0))],
-        ids=["huge-y", "tiny-y", "tiny-y1y2"],
+         ((0.0, 1e-200), (0.0, 2e-200), 0.5 * math.log(2.0)),
+         ((0.0, 1e308), (0.0, 1.7976931348623157e308), 0.5 * math.log(1.7976931348623157))],
+        ids=["huge-y", "tiny-y", "tiny-y1y2", "y-near-the-float-max"],
     )
     def test_oracle_stays_finite_at_extreme_moduli(self, t1, t2, expected):
-        # dy^2 overflows, or y1*y2 underflows to 0, inside the acosh argument
+        # dy^2 overflows, or y1*y2 underflows to 0, inside the acosh argument;
+        # near the float maximum 2*sqrt(y1*y2) overflows unless dz is halved first
         d = teich_distance_oracle(TorusPoint(*t1), TorusPoint(*t2))
         assert d == pytest.approx(expected, rel=1e-12)
         res = teich_distance_enum(TorusPoint(*t1), TorusPoint(*t2))
         assert d == pytest.approx(0.5 * math.log(res.value), rel=1e-12)
+        assert res.certified and res.value <= res.frontier_bound
 
     @pytest.mark.parametrize(
         "t1, t2",
