@@ -222,7 +222,7 @@ def _reduced_frame(tau1: TorusPoint, tau2: TorusPoint) -> tuple:
     fundamental domain, and each image is exact, rounded once.
 
     Lagrange-Gauss reduction of the lattice Z + Z tau1 in integers (Cohen,
-    GTM 138, 1.3.14): the basis u = 1, v = tau1, times xd*yd, with
+    GTM 138, ch. 5): the basis u = 1, v = tau1, times xd*yd, with
     v = a*tau1 + b and u = c*tau1 + d; translate v by the multiple of u
     nearest to it, and swap while v is the shorter.  Float steps cannot keep
     x to within 1/2 once the image's |x| passes 2^53.
