@@ -506,8 +506,9 @@ class TestStretchWalk:
         assert abs(res.value - math.exp(2.0 * teich_distance_oracle(*DEEP_PAIR))) <= 1e-6
 
     def test_slopes_past_2_500_certify(self):
-        # the argmax n/1 has 514 bits: the squares of float(n) overflow, so
-        # the forms are evaluated on (n, 1) scaled by a power of two
+        # the argmax n/1 has 514 bits, and the walk's slope in the reduced frame
+        # is past 2^500 too: squares of its floats overflow, so the forms are
+        # evaluated on it scaled by a power of two
         pair = (TorusPoint(-4.9607694239991494e153, 9.887243906821714e153),
                 TorusPoint(-2.898885002286508e153, 11.160320892826977))
         res = teich_distance_enum(*pair)
