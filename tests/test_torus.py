@@ -464,12 +464,16 @@ def reduced_modulus(rng):
     return TorusPoint(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 4.0))
 
 
-# tau1 = -0.198+6.648i to tau2 = -0.271+0.471i peaks at the slope -602/1, 602 deep
-DEEP_PAIR = (TorusPoint(-0.198, 6.648), TorusPoint(-0.271, 0.471))
+# tau1 = -0.198+6.648i to tau2 = -0.271+0.471i peaks on the ray -n/1, at -602/1, 602 deep
+RAY_PAIR = (TorusPoint(-0.198, 6.648), TorusPoint(-0.271, 0.471))
 
 
-class TestStretchWalk:
-    """teich_distance_enum walks the convergents of the stretch direction."""
+class TestRayJumps:
+    """teich_distance_enum walks the convergents of the stretch direction.
+
+    Each step is a jump along a ray: (p, q)_{k+1} = (p, q)_{k-1} + a_{k+1} * (p, q)_k as
+    vectors, so one evaluation stands for a partial quotient's worth of tree depth.
+    """
 
     @staticmethod
     def record(monkeypatch):
@@ -497,13 +501,13 @@ class TestStretchWalk:
             evals.append(res.evals)
         assert sorted(evals)[int(0.9 * len(evals))] <= 15
 
-    def test_deep_argmax_certifies_in_few_evaluations(self):
-        res = teich_distance_enum(*DEEP_PAIR)
+    def test_ray_pair_certifies_deeper_than_the_former_cap(self):
+        res = teich_distance_enum(*RAY_PAIR)
         assert res.certified
         assert res.argmax == Slope(-602, 1)
         assert res.evals <= 10
         assert res.stabilization_depth == res.depth_reached == 602
-        assert abs(res.value - math.exp(2.0 * teich_distance_oracle(*DEEP_PAIR))) <= 1e-6
+        assert abs(res.value - math.exp(2.0 * teich_distance_oracle(*RAY_PAIR))) <= 1e-6
 
     def test_slopes_past_2_500_certify(self):
         # the argmax n/1 has 514 bits, and the walk's slope in the reduced frame
@@ -524,7 +528,7 @@ class TestStretchWalk:
     def test_evaluated_depths_are_tree_depths_within_the_cap(self, monkeypatch, max_depth):
         seen = self.record(monkeypatch)
         rng = random.Random(max_depth)
-        pairs = [DEEP_PAIR] + [(reduced_modulus(rng), workload_modulus(rng)) for _ in range(40)]
+        pairs = [RAY_PAIR] + [(reduced_modulus(rng), workload_modulus(rng)) for _ in range(40)]
         capped = 0
         for t1, t2 in pairs:
             seen.clear()
@@ -542,7 +546,7 @@ class TestStretchWalk:
         # and at most lambda_hi, which bounds every slope
         rng = random.Random(67)
         tol = 1e-6
-        for t1, t2 in [DEEP_PAIR] + [(workload_modulus(rng), workload_modulus(rng)) for _ in range(30)]:
+        for t1, t2 in [RAY_PAIR] + [(workload_modulus(rng), workload_modulus(rng)) for _ in range(30)]:
             res = teich_distance_enum(t1, t2, tol=tol)
             brute, _ = torus_bruteforce_sup(torus_form(t2.x, t2.y), torus_form(t1.x, t1.y), 14)
             assert res.certified
