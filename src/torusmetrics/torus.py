@@ -201,8 +201,8 @@ def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
 # Relative rounding allowance of lambda_hi over e^(2d) and over every ratio
 # computed (see teich_distance_enum)
 _ROUNDING = 2.0**-44
-# (p, q, depth) of the root slopes 0/1, 1/0, 1/1 and of -1/1, evaluated first
-_ROOTS = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
+# the root slopes 0/1, 1/0, 1/1 and -1/1, evaluated first
+_ROOTS = ((0, 1), (1, 0), (1, 1), (-1, 1))
 
 
 def _moebius(m: tuple, x: float, y: float) -> tuple[float, float]:
@@ -254,29 +254,48 @@ def _forms(x1: float, y1: float, x2: float, y2: float) -> tuple[tuple, tuple]:
     raise OverflowError(f"the extremal-length forms of {x1!r}+{y1!r}i and {x2!r}+{y2!r}i overflow")
 
 
-def _convergents(ep: float, eq: float, max_depth):
-    """(p, q, depth) of the continued-fraction convergents of the slope ep/eq.
-
-    depth, the Stern-Brocot depth, is the partial quotients' sum less one (one more
-    below 0); one that would pass max_depth is clipped to end the walk at max_depth.
-    """
+def _walk(ep: float, eq: float):
+    """The root slopes, then the continued-fraction convergents of the slope ep/eq
+    but the roots among them."""
+    yield from _ROOTS
     if eq < 0.0:
         ep, eq = -ep, -eq
     if not 0.0 < eq or not abs(ep) / eq < math.inf:  # 1/0, a root, or no direction
         return
-    sign, depth = (-1, 0) if ep < 0.0 else (1, -1)
+    sign = -1 if ep < 0.0 else 1
     n, d = (abs(ep) / eq).as_integer_ratio()
     h0, k0, h1, k1 = 0, 1, 1, 0
     while d:
         k, (n, d) = n // d, (d, n % d)
+        h0, k0, h1, k1 = h1, k1, k * h1 + h0, k * k1 + k0
+        if k1 > 1 or h1 > 1:
+            yield sign * h1, k1
+
+
+def _given_slope(m: tuple, p: int, q: int, max_depth) -> tuple:
+    """(p', q', depth, clipped): the reduced frame's slope p/q in the given frame,
+    with its Stern-Brocot depth, or its ancestor at max_depth when it lies deeper.
+
+    The given frame's p'/q' is (a p' - b q')/(d q' - c p') in the reduced frame of
+    m = (a, b, c, d).  depth is the partial quotients' sum less one (one more below
+    0); the partial quotient that would pass max_depth is clipped.
+    """
+    ma, mb, mc, md = m
+    p, q = md * p + mb * q, mc * p + ma * q
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    sign, n, d = (-1, -p, q) if p < 0 else (1, p, q)
+    depth, h0, k0, h1, k1 = (p < 0) - 1, 0, 1, 1, 0
+    while d:
+        k, (n, d) = n // d, (d, n % d)
         depth += k
         if max_depth is not None and depth > max_depth:
-            k -= depth - max_depth
-            if k > 0:
-                yield sign * (k * h1 + h0), k * k1 + k0, max_depth
-            return
+            if k > depth - max_depth:  # a semiconvergent, else the convergent h1/k1
+                k -= depth - max_depth
+                h1, k1 = k * h1 + h0, k * k1 + k0
+            return (sign * h1 if k1 else 1), k1, max_depth, True
         h0, k0, h1, k1 = h1, k1, k * h1 + h0, k * k1 + k0
-        yield sign * h1, k1, depth
+    return p, q, max(depth, 0), False
 
 
 def _ratio(a: tuple, b: tuple, p: int, q: int) -> float:
@@ -303,10 +322,13 @@ def teich_distance_enum(
     search evaluates the root slopes, then the continued-fraction convergents
     of e+ (best approximations, Khinchin), in the source's reduced frame
     (_reduced_frame), where the forms do not cancel, and stops once the best
-    value is at least lambda_hi - tol.  e+ only steers; lambda_hi is
-    ``frontier_bound``.  ``max_depth`` (None: no cap) clips a partial
-    quotient; it and ``stabilization_depth``, the argmax's depth, count
-    depth in the reduced frame.
+    value is at least lambda_hi - tol; ties go to the slope evaluated first.
+    So the slopes evaluated, and the argmax, do not depend on how the caller
+    labels the torus.  Depth does: each slope is taken back to the given
+    frame exactly in integers, ``max_depth`` (None: no cap) clips it to its
+    ancestor at that depth there, which ends the walk past the roots, and
+    ``stabilization_depth`` is the argmax's depth there.  e+ only steers;
+    lambda_hi is ``frontier_bound``.
 
     lambda = (s + sqrt(1 + s^2))^2 adds and multiplies positive terms only,
     so it is within about 15 units of roundoff u = 2^-53 of e^(2d); with
@@ -315,8 +337,8 @@ def teich_distance_enum(
     lambda * (1 + 2^-44), 512 u, covers both (seeded pairs with |x| to 1e12
     and y from 1e-300 to 1e300 erred by at most 8 u); a tol under the ratios'
     rounding floor 2^-43 * lambda_hi is taken at that floor.  Raises
-    OverflowError when a form's entry, at the given points or in the reduced
-    frame, or e^(2d) is not a finite float.
+    OverflowError when an entry of a form in the reduced frame, or e^(2d),
+    is not a finite float.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -325,15 +347,13 @@ def teich_distance_enum(
     if max_evals < len(_ROOTS):
         raise ValueError("max_evals must allow at least the root evaluations")
     x1, y1, x2, y2 = tau1.x, tau1.y, tau2.x, tau2.y
-    a, b = _forms(x1, y1, x2, y2)
     s = 0.5 * math.hypot(x2 - x1, y2 - y1) / (math.sqrt(y1) * math.sqrt(y2))
     lam = (s + math.sqrt(1.0 + s * s)) ** 2  # e^(2d), d = asinh(s) as in the oracle
     lam_hi = lam * (1.0 + _ROUNDING)
     if not lam_hi < math.inf:
         raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
     m, (x1, y1), (x2, y2) = _reduced_frame(tau1, tau2)
-    if m != (1, 0, 0, 1):
-        a, b = _forms(x1, y1, x2, y2)
+    a, b = _forms(x1, y1, x2, y2)
     target = lam_hi - max(tol, 2.0 * _ROUNDING * lam_hi)
     # e+ is normal to the row of A - lam*B further from 0, of those that stay finite
     rows = [r for r in ((a[0] - lam * b[0], a[1] - lam * b[1]), (a[1] - lam * b[1], a[2] - lam * b[2]))
@@ -341,25 +361,22 @@ def teich_distance_enum(
     if not rows:
         raise OverflowError(f"the stretch direction from {tau1} to {tau2} overflows")
     row = max(rows, key=lambda r: max(abs(r[0]), abs(r[1])))
-    # ties go to the shallower, then the smaller slope; each convergent lies
-    # deeper than every slope before it but -1/1, the smaller
-    v, depth, p, q = min((-_ratio(a, b, p, q), depth, p, q) for p, q, depth in _ROOTS)
-    best, evals, depth_reached, hit_eval_cap = -v, len(_ROOTS), 1, False
-    for cp, cq, c_depth in _convergents(-row[1], row[0], max_depth):
-        if best >= target:
+    best, evals, depth_reached, hit_eval_cap = -math.inf, 0, 0, False
+    for rp, rq in _walk(-row[1], row[0]):
+        if evals >= len(_ROOTS) and best >= target:
             break
-        if cq == 1 and -1 <= cp <= 1:  # a root slope, evaluated already
-            continue
         if evals >= max_evals:
             hit_eval_cap = True
             break
-        v, evals, depth_reached = _ratio(a, b, cp, cq), evals + 1, c_depth
+        cp, cq, c_depth, clipped = _given_slope(m, rp, rq, max_depth)
+        if clipped:
+            ma, mb, mc, md = m
+            rp, rq = ma * cp - mb * cq, md * cq - mc * cp
+        v, evals, depth_reached = _ratio(a, b, rp, rq), evals + 1, max(depth_reached, c_depth)
         if v > best:
             best, depth, p, q = v, c_depth, cp, cq
-    ma, mb, mc, md = m
-    p, q = md * p + mb * q, mc * p + ma * q
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
+        if clipped and evals > len(_ROOTS):
+            break
     return SupRatioResult(best, Slope._unchecked(p, q), best >= target, lam_hi, evals, depth,
                           depth_reached, hit_eval_cap)
 

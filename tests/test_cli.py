@@ -52,6 +52,14 @@ class TestDistTeich:
         assert payload["distance"] == pytest.approx(0.5 * math.log(1e300), rel=1e-15)
         assert payload["engine"]["certified"] is True
 
+    def test_forms_that_overflow_only_at_the_given_points_exit_0(self, capsys):
+        src, dst = "7.57711401583171e+169+0.3236965357034844i", "3.51894288113125e+169+8.201004751305414e+169i"
+        assert main(["dist-teich", "--from", src, "--to", dst]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = torus.teich_distance_oracle(torus.TorusPoint.parse(src), torus.TorusPoint.parse(dst))
+        assert payload["distance"] == pytest.approx(expected, rel=1e-15)
+        assert payload["engine"]["certified"] is True
+
     def test_stdout_when_no_output_path(self, capsys):
         assert main(["dist-teich", "--from", "i", "--to", "2i"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -125,8 +133,7 @@ class TestDistTeich:
         "src, dst",
         [("2.225073858507203e-309i", "i"), ("1e-300i", "1e300i"),
          ("2.2e-309i", "3e-309i"),
-         ("7.57711401583171e+169+0.3236965357034844i",
-          "3.51894288113125e+169+8.201004751305414e+169i")],
+         ("1e300i", "1e308+1e308i")],
         ids=["subnormal-y", "ratio-overflows", "subnormal-y-both", "form-overflows"],
     )
     def test_numeric_fault_exits_1_with_one_error_line(self, capsys, src, dst):

@@ -390,15 +390,23 @@ class TestDistanceEnum:
         "t1, t2",
         [((0.0, 2.225073858507203e-309), (0.0, 1.0)), ((0.0, 1e-300), (0.0, 1e300)),
          ((0.0, 2.2e-309), (0.0, 3e-309)),
-         ((7.57711401583171e+169, 0.3236965357034844),
-          (3.51894288113125e+169, 8.201004751305414e+169))],
+         ((0.0, 1e300), (1e308, 1e308))],
         ids=["subnormal-y", "ratio-overflows", "subnormal-y-both", "form-overflows"],
     )
     def test_overflow_is_raised_as_overflow(self, t1, t2):
-        # an entry of an extremal-length form (1/y, |tau|^2/y) or the
-        # supremum e^(2d) is not a finite float
+        # an entry of an extremal-length form (1/y, |tau|^2/y) in the reduced
+        # frame or the supremum e^(2d) is not a finite float; at form-overflows
+        # |tau2|^2/y2 = 2e308 although the distance, 9.557, is finite
         with pytest.raises(OverflowError):
             teich_distance_enum(TorusPoint(*t1), TorusPoint(*t2))
+
+    def test_forms_that_overflow_only_at_the_given_points_certify(self):
+        # |tau|^2/y overflows at both given points, but not in the source's reduced frame
+        t1, t2 = TorusPoint(7.57711401583171e+169, 0.3236965357034844), \
+            TorusPoint(3.51894288113125e+169, 8.201004751305414e+169)
+        res = teich_distance_enum(t1, t2)
+        assert res.certified and res.value <= res.frontier_bound
+        assert 0.5 * math.log(res.value) == pytest.approx(teich_distance_oracle(t1, t2), rel=1e-15)
 
     def test_certified_runs_are_deterministic(self):
         t1, t2 = TorusPoint(0.4, 0.8), TorusPoint(-0.3, 2.1)
@@ -459,11 +467,6 @@ def tree_depth(p, q):
     return total - 1 + (p < 0)
 
 
-def reduced_modulus(rng):
-    """A modulus in the modular fundamental domain, where the walk's frame is the given one."""
-    return TorusPoint(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 4.0))
-
-
 # tau1 = -0.198+6.648i to tau2 = -0.271+0.471i peaks on the ray -n/1, at -602/1, 602 deep
 RAY_PAIR = (TorusPoint(-0.198, 6.648), TorusPoint(-0.271, 0.471))
 
@@ -477,7 +480,7 @@ class TestRayJumps:
 
     @staticmethod
     def record(monkeypatch):
-        """Capture each slope (p, q) the walk evaluates, in its reduced frame."""
+        """Capture each slope (p, q) the walk evaluates, in the walk's reduced frame."""
         seen = []
         direction = torus.direction
 
@@ -528,12 +531,15 @@ class TestRayJumps:
     def test_evaluated_depths_are_tree_depths_within_the_cap(self, monkeypatch, max_depth):
         seen = self.record(monkeypatch)
         rng = random.Random(max_depth)
-        pairs = [RAY_PAIR] + [(reduced_modulus(rng), workload_modulus(rng)) for _ in range(40)]
+        pairs = [RAY_PAIR] + [(workload_modulus(rng), workload_modulus(rng)) for _ in range(40)]
         capped = 0
         for t1, t2 in pairs:
             seen.clear()
             res = teich_distance_enum(t1, t2, max_depth=max_depth)
-            depths = [tree_depth(p, q) for p, q in seen]
+            # back to the given frame, whose slope p/q is the reduced frame's (a p - b q)/(d q - c p)
+            a, b, c, d = torus._reduced_frame(t1, t2)[0]
+            given = [Slope.of(d * p + b * q, c * p + a * q) for p, q in seen]
+            depths = [tree_depth(s.p, s.q) for s in given]
             assert len(depths) == res.evals
             assert res.depth_reached == max(depths) <= max_depth
             assert res.stabilization_depth == tree_depth(res.argmax.p, res.argmax.q)
