@@ -245,15 +245,6 @@ def _reduced_frame(tau1: TorusPoint, tau2: TorusPoint) -> tuple:
     return m, ((u0 * v0 + u1 * v1) / n, (u0 * v1 - u1 * v0) / n), _moebius(m, tau2.x, tau2.y)
 
 
-def _forms(x1: float, y1: float, x2: float, y2: float) -> tuple[tuple, tuple]:
-    """The extremal-length forms at the target x2 + iy2 and the source x1 + iy1."""
-    if y1 > 0.0 and y2 > 0.0:
-        a, b = _q_form(x2, y2), _q_form(x1, y1)
-        if all(map(math.isfinite, a + b)):
-            return a, b
-    raise OverflowError(f"the extremal-length forms of {x1!r}+{y1!r}i and {x2!r}+{y2!r}i overflow")
-
-
 def _walk(ep: float, eq: float):
     """The root slopes, then the continued-fraction convergents of the slope ep/eq
     but the roots among them."""
@@ -353,7 +344,9 @@ def teich_distance_enum(
     if not lam_hi < math.inf:
         raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
     m, (x1, y1), (x2, y2) = _reduced_frame(tau1, tau2)
-    a, b = _forms(x1, y1, x2, y2)
+    a, b = _q_form(x2, y2) if y2 > 0.0 else (math.inf,), _q_form(x1, y1)
+    if not all(map(math.isfinite, a + b)):  # y2 may round to 0 in the reduced frame
+        raise OverflowError(f"the extremal-length forms of {tau1} and {tau2} overflow in the reduced frame")
     target = lam_hi - max(tol, 2.0 * _ROUNDING * lam_hi)
     # e+ is normal to the row of A - lam*B further from 0, of those that stay finite
     rows = [r for r in ((a[0] - lam * b[0], a[1] - lam * b[1]), (a[1] - lam * b[1], a[2] - lam * b[2]))
