@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InvalidPointError
 from .farey import Slope, direction
@@ -384,12 +385,15 @@ def teich_norm(tau: TorusPoint, v: TangentVector) -> float:
     the isometry tau -> (tau - x)/y, V -> V/y, and at i, where Ext is the
     form (1, 0, 1) and its derivative along V is (-vy, vx, vy), the top
     generalized eigenvalue of the two is |V|.  V is scaled to max(|vx|, |vy|)
-    = 1 first, so nothing overflows at extreme moduli.
+    = 1 first, so only a norm past the float range raises OverflowError.
     """
     scale = max(abs(v.vx), abs(v.vy))
     if scale == 0.0:
         return 0.0
-    return 0.5 * math.hypot(v.vx / scale, v.vy / scale) * scale / tau.y
+    value = 0.5 * math.hypot(v.vx / scale, v.vy / scale) * scale / tau.y
+    if value == math.inf:
+        raise OverflowError(f"the norm of {v} overflows at y = {tau.y!r}")
+    return value
 
 
 # builds a Covector from its (gx, gy) tuple without running a Python __new__
@@ -405,15 +409,31 @@ def dual_sphere(tau: TorusPoint, n: int) -> list[Covector]:
     1/y, and phi_j = pi*j/n spreads the samples evenly in the visual measure
     from tau: a convex polygon around the origin whose support function is
     within a factor cos(pi/n) of 2*teich_norm.
+
+    The samples are a regular n-gon.  With 4j = k*n + r, sample j is k exact
+    quarter turns of (sin a_r, -cos a_r)/y, a_r = (pi/2)*r/n, and r > n/2
+    reflects n - r in pi/4, so n//(2 gcd(n, 4)) + 1 sin/cos pairs fill the
+    table; both take sqrt(1/2)/y at r = n/2.  So the mirror j -> n - j, the
+    half and quarter turns and the axis samples are exact, no component is
+    -0.0, and each is within 2 ulp(1/y) of its exact value.
     """
     if n < 16:
         raise ValueError("need at least 16 samples to resolve the dual sphere")
     y = tau.y
     if 1.0 / y == math.inf:
         raise OverflowError(f"dual-sphere covectors of size 1/y overflow at y = {y!r}")
-    sin, cos, neg_y, turn = math.sin, math.cos, -y, 2.0 * math.pi
-    return [_new_tuple(Covector, (sin(t) / y, cos(t) / neg_y))  # t = 2*phi_j
-            for t in [turn * j / n for j in range(n)]]
+    g, sin, cos, quarter = math.gcd(n, 4), math.sin, math.cos, 0.5 * math.pi
+    angles = [quarter * r / n for r in range(0, (n + 1) // 2, g)]  # a_r for r < n/2
+    mid = [math.sqrt(0.5) / y] * (n % 8 == 0)  # r = n/2, where sin and cos round apart
+    s, c = [sin(a) / y for a in angles] + mid, [cos(a) / y for a in angles] + mid
+    up = n // g - len(s)  # entry i of the table is r = g*i, and r in (n/2, n) reflects n - r
+    s, c = s + c[up:0:-1], c + s[up:0:-1]
+    neg_s, neg_c, step, gx, gy = [0.0 - v for v in s], [0.0 - v for v in c], 4 // g, [], []
+    for k, (qx, qy) in enumerate(((s, neg_c), (c, s), (neg_s, c), (neg_c, neg_s))):
+        first = -k * n % 4 // g  # quarter k holds r = first*g, first*g + 4, ...
+        gx += qx[first::step]
+        gy += qy[first::step]
+    return list(map(_new_tuple, repeat(Covector), zip(gx, gy)))
 
 
 def dual_sphere_with_directions(tau: TorusPoint, n: int) -> list[tuple[float, Covector]]:

@@ -12,6 +12,7 @@ sup over rational slopes, found by the Farey engine.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +423,27 @@ def dual_sphere_reference(tau: TorusPoint, n: int) -> list[tuple[float, float, f
         theta = math.atan2(v, math.cos(phi) - x * v) % math.pi
         out.append((theta, math.sin(2.0 * phi) / y, -(math.cos(2.0 * phi) / y)))
     return out
+
+
+# -- sines and cosines in decimal arithmetic ----------------------------------
+
+# pi to 50 digits, written out so that nothing here comes from math's rounding
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def exact_sin_cos(turns: Fraction) -> tuple[Decimal, Decimal]:
+    """(sin, cos) of 2*pi*turns to about 37 digits: the Taylor series of e^(ix)
+    summed in 40-digit decimal arithmetic, turns reduced exactly to [0, 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        turns %= 1
+        x = 2 * _PI * turns.numerator / turns.denominator
+        parts, term, k = [Decimal(0)] * 4, Decimal(1), 0
+        while abs(term) > Decimal("1e-45"):  # i^k x^k / k! adds to part k mod 4
+            parts[k % 4] += term
+            k += 1
+            term = term * x / k
+        return parts[1] - parts[3], parts[0] - parts[2]
 
 
 # -- the flat-torus norm by the Farey engine --------------------------------

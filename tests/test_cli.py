@@ -260,6 +260,15 @@ class TestNorms:
         assert code == 0
         assert json.loads(path.read_text())["norm"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_norm_teich_past_the_float_range_is_a_numeric_fault(self, capsys):
+        # |V|/(2y) = 5e309 is no float: one error line, not "norm": Infinity
+        assert main(["norm-teich", "--at", "1e-310i", "--vx", "1", "--vy", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: numeric fault (OverflowError)") and err.count("\n") == 1
+        assert main(["norm-teich", "--at", "1e-310i", "--vx", "1e-10", "--vy", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(5e299, rel=1e-12)
+
     def test_norm_thurston_runs(self, tmp_path):
         code, path = run_to_file(
             tmp_path,

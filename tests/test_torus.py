@@ -1,6 +1,8 @@
 import math
 import random
 from array import array
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 import scipy.linalg
@@ -30,6 +32,7 @@ from _oracles import (
     apply_form,
     central_diff,
     dual_sphere_reference,
+    exact_sin_cos,
     norm_forms,
     polygon_is_convex_with_origin,
     teich_norm_sup_parts,
@@ -601,6 +604,12 @@ class TestTeichNorm:
             assert math.isfinite(n)
             assert n == pytest.approx(math.hypot(v.vx, v.vy) / (2 * y), rel=1e-12)
 
+    def test_a_norm_past_the_float_range_raises_overflow(self):
+        tau = TorusPoint(0.0, 1e-310)
+        with pytest.raises(OverflowError):
+            teich_norm(tau, TangentVector(1.0, 0.0))
+        assert teich_norm(tau, TangentVector(1e-10, 0.0)) == pytest.approx(5e299, rel=1e-12)
+
     def test_weak_norm_axioms(self):
         rng = random.Random(71)
         for _ in range(200):
@@ -701,6 +710,53 @@ class TestDualSphere:
                 assert bits((t, *g) for t, g in samples) == bits(want)
                 assert bits(dual_sphere(tau, n)) == bits(w[1:] for w in want)
                 assert all(type(g) is Covector for _, g in samples)
+
+    def test_the_n_gon_symmetries_are_exact(self):
+        # == on nonzero floats is bit equality, and no component is -0.0
+        for tau in (I, TorusPoint(0.3, 1.2), TorusPoint(-0.7, 1e-300), TorusPoint(2.0, 1e300)):
+            r = 1.0 / tau.y
+            for n in [*range(16, 131), 256, 1000, 1024]:
+                g = dual_sphere(tau, n)
+                assert all(math.copysign(1.0, v) == 1.0 or v != 0.0 for p in g for v in p)
+                assert all(g[n - j] == (0.0 - g[j].gx, g[j].gy) for j in range(1, n))
+                assert g[0] == (0.0, -r)
+                if n % 2 == 0:
+                    assert all(g[j + n // 2] == (0.0 - g[j].gx, 0.0 - g[j].gy)
+                               for j in range(n // 2))
+                    assert g[n // 2] == (0.0, r)
+                if n % 4 == 0:
+                    assert all(g[j + n // 4] == (0.0 - g[j].gy, g[j].gx) for j in range(3 * n // 4))
+                    assert (g[n // 4], g[3 * n // 4]) == ((r, 0.0), (-r, 0.0))
+
+    def test_every_component_is_within_2_ulp_of_the_exact_value(self):
+        for n in [*range(16, 131), 256, 1000, 1024]:
+            exact = [exact_sin_cos(Fraction(j, n)) for j in range(n)]
+            for y in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    dy, tol = Decimal(y), 2 * Decimal(math.ulp(1.0 / y))
+                    for (gx, gy), (s, c) in zip(dual_sphere(TorusPoint(0.0, y), n), exact):
+                        assert abs(Decimal(gx) - s / dy) <= tol
+                        assert abs(Decimal(gy) + c / dy) <= tol
+
+    def test_at_most_n_over_2_gcd_n_4_plus_one_sin_cos_pairs(self, monkeypatch):
+        # the table is one octant of the n-gon; every other sample is a reflection or rotation
+        calls = {"sin": 0, "cos": 0}
+
+        def counting(name, f):
+            def wrapper(x):
+                calls[name] += 1
+                return f(x)
+            return wrapper
+
+        monkeypatch.setattr(math, "sin", counting("sin", math.sin))
+        monkeypatch.setattr(math, "cos", counting("cos", math.cos))
+        for n in [*range(16, 131), 255, 256, 257, 1000, 1024]:
+            calls.update(sin=0, cos=0)
+            dual_sphere(TorusPoint(0.3, 1.2), n)
+            # 33 at n = 256, against 256 of each for one per sample
+            assert 0 < min(calls.values())
+            assert max(calls.values()) <= n // (2 * math.gcd(n, 4)) + 1
 
     def test_directions_cover_projective_circle_once(self):
         angles = [theta for theta, _ in dual_sphere_with_directions(I, 32)]
