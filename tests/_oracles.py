@@ -404,24 +404,39 @@ def polygon_is_convex_with_origin(points) -> bool:
     return True
 
 
-# -- the dual sphere's samples, by the two-pass loop --------------------------
+# -- the dual sphere's samples, one at a time ---------------------------------
 
 def dual_sphere_reference(tau: TorusPoint, n: int) -> list[tuple[float, float, float]]:
-    """(theta, gx, gy) per sample, by a two-pass loop: the angles at i first.
+    """(theta, gx, gy) per sample, each computed on its own in a plain loop.
 
     Sample j is the foliation of angle phi = pi*j/n at i, (sin 2phi,
     -cos 2phi)/y at tau, labelled with the angle theta in [0, pi) of its
-    direction (cos phi - x sin(phi)/y, sin(phi)/y) at tau.  The per-sample
+    direction (cos phi - x sin(phi)/y, sin(phi)/y) at tau.  With 4j = k*n + r,
+    2phi is k quarter turns past a = (pi/2)*r/n: past n/2, r folds to n - r
+    with sin and cos swapped, at r = n/2 both are sqrt(1/2), and the quarter
+    turns rotate (sin a, -cos a)/y by (gx, gy) -> (-gy, gx).  The per-sample
     arithmetic is torus.dual_sphere's and dual_sphere_with_directions', so
     the library must match it bit for bit.
     """
     x, y = tau.x, tau.y
-    phis = [math.pi * j / n for j in range(n)]
     out = []
-    for phi in phis:
+    for j in range(n):
+        phi = math.pi * j / n
         v = math.sin(phi) / y
         theta = math.atan2(v, math.cos(phi) - x * v) % math.pi
-        out.append((theta, math.sin(2.0 * phi) / y, -(math.cos(2.0 * phi) / y)))
+        k, r = divmod(4 * j, n)
+        if 2 * r == n:
+            s = c = math.sqrt(0.5) / y
+        elif 2 * r < n:
+            a = 0.5 * math.pi * r / n
+            s, c = math.sin(a) / y, math.cos(a) / y
+        else:
+            a = 0.5 * math.pi * (n - r) / n
+            s, c = math.cos(a) / y, math.sin(a) / y
+        gx, gy = s, 0.0 - c
+        for _ in range(k):
+            gx, gy = 0.0 - gy, gx
+        out.append((theta, gx, gy))
     return out
 
 
