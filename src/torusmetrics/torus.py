@@ -412,8 +412,8 @@ def dual_sphere(tau: TorusPoint, n: int) -> list[Covector]:
 
     The samples are a regular n-gon.  With 4j = k*n + r, sample j is k exact
     quarter turns of (sin a_r, -cos a_r)/y, a_r = (pi/2)*r/n, and r > n/2
-    reflects n - r in pi/4, so n//(2 gcd(n, 4)) + 1 sin/cos pairs fill the
-    table; both take sqrt(1/2)/y at r = n/2.  So the mirror j -> n - j, the
+    reflects n - r in pi/4: n//(2 gcd(n, 4)) + 1 table entries, sin and cos
+    both sqrt(1/2)/y at r = n/2, serve all n.  So the mirror j -> n - j, the
     half and quarter turns and the axis samples are exact, no component is
     -0.0, and each is within 2 ulp(1/y) of its exact value.
     """

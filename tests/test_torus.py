@@ -725,7 +725,8 @@ class TestDualSphere:
                                for j in range(n // 2))
                     assert g[n // 2] == (0.0, r)
                 if n % 4 == 0:
-                    assert all(g[j + n // 4] == (0.0 - g[j].gy, g[j].gx) for j in range(3 * n // 4))
+                    assert all(g[j + n // 4] == (0.0 - g[j].gy, g[j].gx)
+                               for j in range(3 * n // 4))
                     assert (g[n // 4], g[3 * n // 4]) == ((r, 0.0), (-r, 0.0))
 
     def test_every_component_is_within_2_ulp_of_the_exact_value(self):
@@ -754,7 +755,7 @@ class TestDualSphere:
         for n in [*range(16, 131), 255, 256, 257, 1000, 1024]:
             calls.update(sin=0, cos=0)
             dual_sphere(TorusPoint(0.3, 1.2), n)
-            # 33 at n = 256, against 256 of each for one per sample
+            # the bound is 33 at n = 256, where one call per sample made 256 of each
             assert 0 < min(calls.values())
             assert max(calls.values()) <= n // (2 * math.gcd(n, 4)) + 1
 
