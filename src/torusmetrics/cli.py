@@ -15,7 +15,6 @@ at extreme but valid input, 2 malformed or out-of-chart input, 3 when
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import random
@@ -145,7 +144,7 @@ def _run_dual_sphere(args: argparse.Namespace):
             ],
         }
         return out, True
-    rows = [(repr(g.gx), repr(g.gy), _direction_label(theta)) for theta, g in samples]
+    rows = [(g.gx, g.gy, _direction_label(theta)) for theta, g in samples]
     header = ["gx", "gy", "slope_or_angle"]
     meta = f"# dual unit sphere of extremal-length differentials at={at} samples={n} method=closed-form"
     return (meta, header, rows), True
@@ -205,7 +204,7 @@ def _run_converge_boundary(args: argparse.Namespace):
         f" tol={args.tol!r} max_depth={args.max_depth} certified={str(certified).lower()}"
     )
     floats = ("length", "stretch", "normalized_value")
-    csv_rows = [(str(r["k"]), r["slope"], *(repr(r[f]) for f in floats)) for r in rows]
+    csv_rows = [(r["k"], r["slope"], *(r[f] for f in floats)) for r in rows]
     return (meta, header, csv_rows), certified
 
 
@@ -218,9 +217,7 @@ def _run_converge_gm(args: argparse.Namespace):
         point = torus.TorusPoint(base.x + k, base.y)
         growth = math.exp(torus.teich_distance_oracle(base, point))
         for s in lams:
-            root = math.sqrt(
-                torus.extremal_length(torus.WeightedFoliation(1.0, s), point)
-            )
+            root = torus.extremal_length_root(torus.WeightedFoliation(1.0, s), point)
             rows.append((k, str(s), root, growth, root / growth))
     if args.format == "json":
         out = {
@@ -240,8 +237,7 @@ def _run_converge_gm(args: argparse.Namespace):
         return out, True
     header = ["k", "slope", "ext_root", "dilatation_root", "normalized_value"]
     meta = f"# normalized extremal-length functional along twists of {base} method=closed-form"
-    csv_rows = [(str(k), s, repr(r), repr(g), repr(nv)) for k, s, r, g, nv in rows]
-    return (meta, header, csv_rows), True
+    return (meta, header, rows), True
 
 
 def _run_gardiner_check(args: argparse.Namespace):
@@ -273,15 +269,18 @@ def _run_gardiner_check(args: argparse.Namespace):
 
 
 def _render(payload, fmt: str) -> str:
+    """The payload as text; a value that is not finite is a numeric fault."""
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            raise FloatingPointError("a value in the output is not finite") from None
     meta, header, rows = payload
-    buf = io.StringIO()
-    buf.write(meta + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    if not all(math.isfinite(v) for row in rows for v in row if isinstance(v, float)):
+        raise FloatingPointError("a value in the output is not finite")
+    lines = [meta, ",".join(header)]
+    lines += (",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _new_parser() -> argparse.ArgumentParser:
@@ -372,13 +371,13 @@ def main(argv=None) -> int:
         if getattr(args, "max_depth", None) is not None and args.max_depth < 1:
             raise ValueError("max-depth must be at least 1")
         payload, certified = args.run(args)
+        text = _render(payload, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: numeric fault ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
-    text = _render(payload, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -12,11 +12,11 @@ class and avoids double counting.
 
 The sup engine carries a caller-defined state per slope down the tree, so a
 recursion over Farey triangles costs O(1) per slope; the plainest state is
-the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  Its certified mode
-and random access to one slope (``path_state``) walk plain tuple cells
-(``split``) with the combine and operand order of ``mediant_state``; the
-exhaustive mode's tier loop lives in supratio and keeps that order, so all
-three agree bit for bit.
+the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  A cell is its two
+signed endpoint vectors (``split``): the mirrored root is (0/1, -1/0).  The
+certified mode, random access to one slope (``path_state``) and supratio's
+tier loop all combine a mediant's state in the one operand order of
+``slope_parents`` (``mediant_state``), so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class FareyNode:
     """A Stern-Brocot interval, checked: the reference form of a ``split`` cell.
 
     ``left`` and ``right`` are always stored as positive-tree endpoints;
-    ``mirrored`` marks cells of the negative-slope copy of the tree.  The
+    ``mirrored`` marks the negative-slope copy, whose split cells negate p.  The
     slope a node contributes is the (possibly mirrored) mediant of its
     endpoints, and ``depth`` counts mediant steps from the root interval.
     """
@@ -190,11 +190,11 @@ def root_nodes() -> tuple[FareyNode, FareyNode]:
 # -- cells with carried state ---------------------------------------------------
 #
 # The certified search and random access walk cells
-# (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp):
-# the interval between positive-tree endpoints lp/lq < rp/rq, mirrored when
-# sign is -1, with caller-defined states at its endpoints and its opposite
-# vertex.  combine(s_a, s_b, s_c) gives the state at a mediant from its Farey
-# parents a, b and opposite vertex c, in slope_parents order.
+# (lp, lq, rp, rq, depth, s_left, s_right, s_opp): the signed endpoint vectors,
+# (lp, lq) the one nearer 0/1, with caller-defined states at the endpoints and
+# the opposite vertex.  combine(s_a, s_b, s_c) gives the state at a mediant from
+# its Farey parents a, b and opposite vertex c, in slope_parents order, which is
+# combine(s_right, s_left, s_opp) in every cell.
 
 # The states of a query that carries each slope as its own state.
 SLOPE_ROOTS = (Slope(0, 1), Slope(1, 0), Slope(1, 1))
@@ -215,27 +215,25 @@ def add_slopes(a: Slope, b: Slope, c: Slope) -> Slope:
 
 
 def root_cells(roots: tuple) -> tuple[tuple, tuple]:
-    """The positive and mirrored root cells over the states at 0/1, 1/0, 1/1."""
+    """The root cells (0/1, 1/0) and (0/1, -1/0) over the states at 0/1, 1/0, 1/1."""
     s0, s_inf, s1 = roots
     # children take their opposite vertex from their parent's endpoints, so
     # the positive root's (-1/1) is never needed
-    return (0, 1, 1, 0, 0, 1, s0, s_inf, None), (0, 1, 1, 0, 1, -1, s0, s_inf, s1)
+    return (0, 1, 1, 0, 0, s0, s_inf, None), (0, 1, -1, 0, 1, s0, s_inf, s1)
 
 
 def mediant_state(cell: tuple, combine):
     """The state at the cell's mediant."""
-    lp, lq, rp, rq, _, _, s_left, s_right, s_opp = cell
-    if rq == 0 and lq == 1 and lp > 0:  # n/1 below 1/0: the left endpoint comes first
-        return combine(s_left, s_right, s_opp)
+    _, _, _, _, _, s_left, s_right, s_opp = cell
     return combine(s_right, s_left, s_opp)
 
 
 def split(cell: tuple, s_mid) -> tuple[tuple, tuple]:
     """The two children of a cell whose mediant has state s_mid."""
-    lp, lq, rp, rq, depth, sign, s_left, s_right, _ = cell
+    lp, lq, rp, rq, depth, s_left, s_right, _ = cell
     mp, mq = lp + rp, lq + rq
-    return ((lp, lq, mp, mq, depth + 1, sign, s_left, s_mid, s_right),
-            (mp, mq, rp, rq, depth + 1, sign, s_mid, s_right, s_left))
+    return ((lp, lq, mp, mq, depth + 1, s_left, s_mid, s_right),
+            (mp, mq, rp, rq, depth + 1, s_mid, s_right, s_left))
 
 
 def path_state(slope: Slope, roots: tuple, combine):
@@ -245,10 +243,10 @@ def path_state(slope: Slope, roots: tuple, combine):
         return roots[p]
     pos, neg = root_cells(roots)
     cell, state = (pos, roots[2]) if p > 0 else (neg, mediant_state(neg, combine))
-    p = abs(p)
+    pp, pq = p * p, p * q  # p/q < mp/mq times p * p, which flips the test below 0
     while (cell[0] + cell[2], cell[1] + cell[3]) != (p, q):
         left, right = split(cell, state)
-        cell = left if p * left[3] < q * left[2] else right  # left of the mediant?
+        cell = left if pp * left[3] < pq * left[2] else right  # nearer 0/1 than the mediant?
         state = mediant_state(cell, combine)
     return state
 
@@ -290,11 +288,12 @@ def slope_parents(s: Slope) -> tuple[Slope, Slope, Slope]:
     """Farey parents (a, b) of s plus the opposite vertex c.
 
     a and b are the neighbor pair spanning the edge below s in the Farey
-    tessellation; s and c are the classes of a + b and a - b, the two
+    tessellation, a the right endpoint of s's cell (the one farther from
+    0/1) and b its left; s and c are the classes of a + b and a - b, the two
     completions of that edge into a triangle.  (On the negative wedge the
-    canonical form of the infinity endpoint hides a sign, so s is not
-    always literally the canonical mediant of a and b.)  Trace recursions
-    combine values at a, b, c into the value at s.
+    canonical 1/0 hides a sign, so s is not always literally the canonical
+    mediant of a and b.)  Trace recursions combine values at a, b, c into
+    the value at s.
     """
     p, q = s.p, s.q
     if (p, q) in ((0, 1), (1, 0)):
@@ -302,11 +301,7 @@ def slope_parents(s: Slope) -> tuple[Slope, Slope, Slope]:
     if p < 0:
         a, b, c = slope_parents(Slope(-p, q))
         return a.mirrored(), b.mirrored(), c.mirrored()
-    if p == 1 and q == 1:
-        return Slope(1, 0), Slope(0, 1), Slope(-1, 1)
-    if q == 1:  # p >= 2
-        return Slope(p - 1, 1), Slope(1, 0), Slope.of(p - 2, 1)
-    if p == 1:  # q >= 2
+    if p == 1:  # 1/q: the neighbors 1/(q-1) and 0/1
         return Slope(1, q - 1), Slope(0, 1), Slope.of(1, q - 2)
     u = pow(q, -1, p)
     v = (u * q - 1) // p

@@ -12,9 +12,10 @@ the value empirically stabilized.  Both modes carry a per-slope state
 down the tree (by default the slope itself), so objectives built on a
 recursion over Farey triangles cost O(1) per slope.  The exhaustive sweep
 is one loop here (``_maximize_exhaustive``) that goes one tier (one depth)
-at a time over flat lists of states: one combine and one objective call
-per slope, and the argmax is resolved only on tiers whose maximum beats
-the best value so far.
+at a time over one set of flat lists of states: one combine, in the one
+operand order of farey.mediant_state, and one objective call per slope,
+and the argmax is resolved only on tiers whose maximum beats the best
+value so far.
 
 Given a bound, the sweep drops every cell bounded below the best value of
 the shallower tiers (less a rounding margin): its slopes could neither win,
@@ -197,77 +198,53 @@ def maximize(query: SupQuery) -> SupRatioResult:
 def _maximize_exhaustive(search: _Search, s_neg) -> SupRatioResult:
     """Sweep the tree below the root tier down to max_depth, one tier at a time.
 
-    A tier is every cell of one depth, in two blocks: the positive block
-    (number 0: the 2**d cells below the root interval 0/1 < 1/0 at depth
-    d >= 1) and the mirrored block (number 1: the 2**(d-1) cells below the
-    mirrored root, from depth 2 on).  Each block keeps its cells left to
-    right as three parallel state lists, at the left endpoints, the right
-    endpoints and the opposite vertices, and, once a cell was dropped, a
-    list of the kept cells' paths (see _tier_slope).  Each tier drops the
-    cells bounded below the floor, is cut at the eval budget, combines and
-    evaluates its mediants, and splits every cell into two for the next.
+    A tier is every cell of one depth, left to right in three parallel state
+    lists (left endpoints, right endpoints, opposite vertices): the 2**d cells
+    below the root (0/1, 1/0), then from depth 2, before the first floor can
+    drop a cell, the 2**(d-1) below the mirrored root (0/1, -1/0).  Once a
+    cell was dropped, ``paths`` holds the kept cells' indices (see
+    _tier_slope).  Each tier drops the cells bounded below the floor, is cut
+    at the eval budget, combines and evaluates its mediants, and splits
+    every cell into two for the next.
     """
     query = search.query
     objective, combine, bound = query.objective, query.combine, query.subtree_bound
     s0, s_inf, s1 = query.roots
     budget = query.max_evals - len(_ROOT_TIER)
-    blocks = [(0, None, [s0, s1], [s1, s_inf], [s_inf, s0])]  # (number, paths, left, right, opp)
+    paths, left, right, opp = None, [s0, s1], [s1, s_inf], [s_inf, s0]
     floor, cut = None, False
     for depth in range(1, query.max_depth + 1):
-        if depth == 2:
-            blocks.append((1, None, [s0, s_neg], [s_neg, s_inf], [s_inf, s0]))
+        if depth == 2:  # the mirrored root's children (0/1, -1/1) and (-1/1, -1/0)
+            left, right, opp = left + [s0, s_neg], right + [s_neg, s_inf], opp + [s_inf, s0]
         if floor is not None:
-            kept = []
-            for number, paths, *cells in blocks:
-                keep = [not b < floor for b in map(bound, *cells)]
-                if not all(keep):
-                    paths, *cells = (list(compress(column, keep))
-                                     for column in (paths or range(len(keep)), *cells))
-                if cells[0]:
-                    kept.append((number, paths, *cells))
-            blocks = kept
-        cut = sum(len(block[2]) for block in blocks) > budget
-        if not blocks or budget == 0:
+            keep = [not b < floor for b in map(bound, left, right, opp)]
+            if not all(keep):
+                paths, left, right, opp = (list(compress(column, keep))
+                                           for column in (paths or range(len(keep)), left, right, opp))
+        cut = len(left) > budget
+        if not left or budget == 0:
             break
-        tier = []  # (number, paths, mediant states) of each block the budget reaches
-        for number, paths, left, right, opp in blocks:
-            n = min(len(left), budget)
-            if n == 0:
-                break
-            # a block's last cell is n/1 below 1/0, whose left endpoint comes
-            # first among its Farey parents (see farey.mediant_state)
-            last = n == len(left) and (paths is None or paths[-1] == (1 << depth - number) - 1)
-            k = n - 1 if last else n
-            mids = list(map(combine, right[:k], left[:k], opp[:k]))
-            if last:
-                mids.append(combine(left[k], right[k], opp[k]))
-            tier.append((number, paths, mids))
-            budget -= n
-        tier_values = []
-        for number, paths, mids in tier:
-            values = list(map(objective, mids))
-            try:
-                finite = all(map(math.isfinite, values))
-            except TypeError:
-                finite = False
-            if not finite:
-                i = next(i for i, v in enumerate(values) if _bad_value(v))
-                raise _non_finite(values[i], _tier_slope(depth, number, paths[i] if paths else i))
-            tier_values.append(values)
-        search.evals += sum(map(len, tier_values))
-        top = max(map(max, tier_values))
+        # map stops at the shortest list: a cut tier combines its first cells
+        mids = list(map(combine, right, left[:budget], opp))
+        budget -= len(mids)
+        values = list(map(objective, mids))
+        try:
+            finite = all(map(math.isfinite, values))
+        except TypeError:
+            finite = False
+        if not finite:
+            i = next(i for i, v in enumerate(values) if _bad_value(v))
+            raise _non_finite(values[i], _tier_slope(depth, paths[i] if paths else i))
+        search.evals += len(values)
+        top = max(values)
         if top > search.depth_max.get(depth, -math.inf):
             search.depth_max[depth] = float(top)
         # the argmax so far is shallower, or is -1/1, the smallest slope of
         # depth 1, so only a strictly larger value displaces it
         if top > search.best_value:
-            slope, v = min(
-                ((_tier_slope(depth, number, paths[i] if paths else i), v)
-                 for (number, paths, _), values in zip(tier, tier_values)
-                 for i, v in enumerate(values) if v == top),
-                key=lambda candidate: candidate[0],
-            )
-            search.best_value = v = float(v)
+            slope = min(_tier_slope(depth, paths[i] if paths else i)
+                        for i, v in enumerate(values) if v == top)
+            search.best_value = v = float(top)
             search.best_key = (-v, depth, slope.p, slope.q)
         if cut or depth == query.max_depth:
             break
@@ -276,29 +253,26 @@ def _maximize_exhaustive(search: _Search, s_neg) -> SupRatioResult:
         best = search.best_value
         floor = (best - _PRUNE_MARGIN * abs(best)
                  if bound is not None and search.depth_max[depth] < best else None)
-        children = []  # each cell splits at its mediant into two
-        for (number, paths, left, right, opp), (_, _, mids) in zip(blocks, tier):
-            if paths is not None:
-                paths = [2 * i + j for i in paths for j in (0, 1)]
-            children.append((number, paths, _interleave(left, mids), _interleave(mids, right),
-                             _interleave(right, left)))
-        blocks = children
+        if paths is not None:  # each cell splits at its mediant into two
+            paths = [2 * i + j for i in paths for j in (0, 1)]
+        left, right, opp = _interleave(left, mids), _interleave(mids, right), _interleave(right, left)
     return search.result(False, None, hit_eval_cap=cut)
 
 
-def _tier_slope(depth: int, block: int, index: int) -> Slope:
-    """The slope of the cell at ``index`` in a tier's block (0 positive, 1 mirrored).
+def _tier_slope(depth: int, index: int) -> Slope:
+    """The slope of the cell at ``index`` in a tier, mirrored from 2**depth on.
 
-    The index read in binary is the cell's path below its block's root,
+    The rest of the index read in binary is the cell's path below its root,
     0 for a left and 1 for a right child; the mirrored root sits at depth 1.
     """
-    lp, lq, rp, rq = 0, 1, 1, 0
-    for k in reversed(range(depth - block)):
+    half = index >> depth  # 1 in the mirrored half
+    lp, lq, rp, rq = 0, 1, -1 if half else 1, 0
+    for k in reversed(range(depth - half)):
         if index >> k & 1:
             lp, lq = lp + rp, lq + rq
         else:
             rp, rq = lp + rp, lq + rq
-    return Slope._unchecked(-(lp + rp) if block else lp + rp, lq + rq)
+    return Slope._unchecked(lp + rp, lq + rq)
 
 
 def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
@@ -312,14 +286,14 @@ def _maximize_certified(search: _Search, cells: tuple) -> SupRatioResult:
     frontier_top = -math.inf
 
     def push(cell: tuple) -> None:
-        # a cell (lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp), keyed by its mediant
+        # a cell (lp, lq, rp, rq, depth, s_left, s_right, s_opp), keyed by its mediant
         nonlocal truncated
-        lp, lq, rp, rq, depth, sign, s_left, s_right, s_opp = cell
+        lp, lq, rp, rq, depth, s_left, s_right, s_opp = cell
         b = float(bound(s_left, s_right, s_opp))
         if depth > query.max_depth:
             truncated = max(truncated, b)
         else:
-            heapq.heappush(heap, (-b, depth, sign * (lp + rp), lq + rq, cell))
+            heapq.heappush(heap, (-b, depth, lp + rp, lq + rq, cell))
 
     for cell in cells:
         push(cell)

@@ -39,6 +39,7 @@ __all__ = [
     "QuadDiff",
     "Covector",
     "extremal_length",
+    "extremal_length_root",
     "d_extremal",
     "quad_diff_of_foliation",
     "gardiner_pairing",
@@ -134,6 +135,12 @@ def extremal_length(lam: WeightedFoliation, tau: TorusPoint) -> float:
     p, q = lam.slope.p, lam.slope.q
     u = p + q * tau.x
     return lam.weight ** 2 * (u * u + (q * tau.y) ** 2) / tau.y
+
+
+def extremal_length_root(lam: WeightedFoliation, tau: TorusPoint) -> float:
+    """a * |p + q*tau| / sqrt(y), the root of extremal_length, finite wherever it is."""
+    p, q = lam.slope.p, lam.slope.q
+    return lam.weight * math.hypot(p + q * tau.x, q * tau.y) / math.sqrt(tau.y)
 
 
 def d_extremal(lam: WeightedFoliation, tau: TorusPoint) -> Covector:
@@ -452,4 +459,4 @@ def normalized_extremal_functional(
     tau0: TorusPoint, tau: TorusPoint, lam: WeightedFoliation
 ) -> float:
     """Ext_lam(tau)^(1/2) divided by the extremal dilatation root exp(d_T)."""
-    return math.sqrt(extremal_length(lam, tau)) * math.exp(-teich_distance_oracle(tau0, tau))
+    return extremal_length_root(lam, tau) / math.exp(teich_distance_oracle(tau0, tau))

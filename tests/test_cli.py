@@ -480,6 +480,15 @@ class TestExperiments:
         assert lines[1] == "k,slope,ext_root,dilatation_root,normalized_value"
         assert len(lines) == 2 + 4
 
+    def test_converge_gm_rows_are_the_library_functional(self, capsys):
+        base = torus.TorusPoint(0.3, 1.7)
+        assert main(["converge-gm", "--base", "0.3+1.7i", "--slopes", "0/1,1/1,-2/3"]) == 0
+        for row in json.loads(capsys.readouterr().out)["rows"]:
+            lam = torus.WeightedFoliation(1.0, torusmetrics.Slope.parse(row["slope"]))
+            point = torus.TorusPoint(base.x + row["k"], base.y)
+            assert row["ext_root"] == torus.extremal_length_root(lam, point)
+            assert row["normalized_value"] == torus.normalized_extremal_functional(base, point, lam)
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_gardiner_check_needs_a_sample(self, capsys, samples):
         assert main(["gardiner-check", "--at", "i", "--samples", samples]) == 2
@@ -528,7 +537,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["converge-gm", "--base", "1e300i"],
+            ["converge-gm", "--base", "0.5+1e-310i", "--ks", "1"],
             ["gardiner-check", "--at", "1e-300i", "--samples", "5"],
         ],
         ids=["converge-gm", "gardiner-check"],
@@ -538,6 +547,24 @@ class TestArgumentHandling:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: numeric fault (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_past_the_float_range_is_a_numeric_fault(self, capsys, fmt):
+        # the dilatation root e^d is about 1e310 here, which no float holds
+        argv = ["converge-gm", "--base", "0.5+1e-310i", "--ks", "1", "--format", fmt]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: numeric fault (FloatingPointError): "
+                       "a value in the output is not finite\n")
+
+    def test_converge_gm_takes_roots_without_squaring_y(self, capsys):
+        # every extremal length is about 1e300, finite, but (q*y)**2 = 1e600
+        # on the way to it was not
+        assert main(["converge-gm", "--base", "1e300i"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["k"], row["slope"]) for row in rows[:3]] == [(10, "0/1"), (10, "1/1"), (10, "1/2")]
+        assert [row["ext_root"] for row in rows[:3]] == [1e150, 1e150, 2e150]
 
     def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch):
         # one parser serves every call; options of one call must not leak

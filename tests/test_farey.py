@@ -222,7 +222,7 @@ class TestFareyNode:
         # the oracles' flat-torus cone bound is sound only if every slope below
         # a cell is a positive integer combination of its endpoint directions
         for cell, node in _cells_and_nodes(8):
-            (ux, uy), (vx, vy) = cone_directions(*cell[6:])
+            (ux, uy), (vx, vy) = cone_directions(*cell[5:])
             det = ux * vy - uy * vx
             assert abs(det) == 1.0
             for inner in _walk_nodes(10, node):
@@ -270,6 +270,15 @@ class TestSlopeParents:
             a, b, c = slope_parents(s)
             assert mediant(a, b) == s
 
+    def test_the_parent_farther_from_0_1_comes_first(self):
+        # a is the right endpoint of the cell whose mediant is s and b its
+        # left one, at +-n/1 too: the one operand order of every sweep
+        for s in enumerate_slopes(8):
+            if s in (Slope(0, 1), Slope(1, 0)):
+                continue
+            a, b, _ = slope_parents(s)
+            assert abs(a.p) * b.q > abs(b.p) * a.q, s
+
 
 def _cells_and_nodes(depth):
     """Each split cell down to depth, carrying slope states, with its reference node."""
@@ -307,13 +316,12 @@ class TestCarriedState:
         expected.remove(Slope(-1, 1))
         expected.insert(3, Slope(-1, 1))
         assert seen == expected
-        # each tier is its positive block, then from depth 2 its mirrored one
+        # each tier is its 2**d positive cells, then from depth 2 its mirrored ones
         i = 4
         for depth in range(1, 10):
-            for block in (0, 1) if depth > 1 else (0,):
-                n = 2 ** (depth - block)
-                assert seen[i:i + n] == [_tier_slope(depth, block, j) for j in range(n)]
-                i += n
+            n = 2 ** depth + (2 ** (depth - 1) if depth > 1 else 0)
+            assert seen[i:i + n] == [_tier_slope(depth, j) for j in range(n)]
+            i += n
         assert i == len(seen)
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 3, 5, 6, 13, 14, 20])
@@ -336,8 +344,8 @@ class TestCarriedState:
         count = 0
         for cell, node in _cells_and_nodes(7):
             sign = -1 if node.mirrored else 1
-            assert cell[:6] == (node.left.p, node.left.q, node.right.p, node.right.q,
-                                node.depth, sign)
-            assert cell[6:] == (*node.endpoint_slopes(), node.opposite_slope())
+            assert cell[:5] == (sign * node.left.p, node.left.q, sign * node.right.p,
+                                node.right.q, node.depth)
+            assert cell[5:] == (*node.endpoint_slopes(), node.opposite_slope())
             count += 1
         assert count == 3 * 2 ** 7 - 3

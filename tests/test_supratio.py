@@ -7,6 +7,7 @@ import pytest
 from torusmetrics import ptorus
 from torusmetrics.farey import Slope, enumerate_slopes, path_state
 from torusmetrics.ptorus import (
+    MarkovPoint,
     TraceCache,
     from_parameters,
     tangent_from_chart,
@@ -339,6 +340,73 @@ class TestTierSweepEquivalence:
             assert (res.value, res.argmax) == (1.0, Slope(0, 1))
             assert res.evals == (3 * 2 ** depth if depth else 4)
         assert thurston_distance(point, point, max_depth=12, max_evals=1000).evals == 1000
+
+    def test_mirrored_argmax_found_after_cells_were_dropped(self):
+        # a sound bound drops every cell without the peak -3/5 from depth 2
+        # on, so the sweep names the peak from its kept index, 18 >= 2**4
+        peak = Slope(-3, 5)
+
+        def obj(s):
+            return 2.0 if s == peak else 1.0 / (1 + s.q)
+
+        def bound(left, right, opp):
+            # every slope inside the cell has q >= left.q + right.q
+            (up, uq), (vp, vq) = cone_directions(left, right, opp)
+            det = up * vq - uq * vp
+            inside = (peak.p * vq - peak.q * vp) / det >= 1 and (up * peak.q - uq * peak.p) / det >= 1
+            return 2.0 if inside else 1.0 / (1 + left.q + right.q)
+
+        self.check_against_reference(
+            lambda d, m: SupQuery(obj, bound, max_depth=d, max_evals=m, exhaustive=True))
+        res = maximize(SupQuery(obj, bound, max_depth=4, exhaustive=True))
+        assert (res.value, res.argmax, res.evals) == (2.0, peak, 4 + 2 + 1 + 1 + 1)
+
+
+class TestSweepWork:
+    """No state is combined that is not scored: a query makes evals - 3 combine calls.
+
+    The root tier scores 0/1, 1/0 and 1/1 from the roots and combines -1/1;
+    every other scored slope is one combine.
+    """
+
+    @staticmethod
+    def counted(query):
+        calls = []
+
+        def combine(a, b, c):
+            calls.append(c)
+            return query.combine(a, b, c)
+
+        return dataclasses.replace(query, combine=combine), calls
+
+    def test_every_combine_is_scored(self):
+        rng = random.Random(18)
+        src, dst = (from_parameters(rng.uniform(3, 6), rng.uniform(3, 6)) for _ in range(2))
+        v = tangent_from_chart(src, rng.uniform(-1, 1), rng.uniform(-1, 1))
+        distance = TestTierSweepEquivalence.captured(lambda: thurston_distance(src, dst, max_depth=0))
+        queries = [
+            distance,  # a bound prunes the sweep
+            dataclasses.replace(distance, exhaustive=False),  # best-first, certified
+            TestTierSweepEquivalence.captured(lambda: thurston_norm(src, v, max_depth=0)),
+            SupQuery(TestMonotonicityAndDeterminism._bumpy, None),
+        ]
+        for query in queries:
+            for depth in range(7):
+                for max_evals in (*range(4, 61), 200_000):
+                    counted, calls = self.counted(
+                        dataclasses.replace(query, max_depth=depth, max_evals=max_evals))
+                    res = maximize(counted)
+                    assert len(calls) == res.evals - 3, (query, depth, max_evals)
+
+    @pytest.mark.parametrize("certified_bound, tol, steps, evals",
+                             [(False, 1e-6, 25, 28), (True, 1e-9, 23, 26)])
+    def test_documented_pair_steps(self, monkeypatch, certified_bound, tol, steps, evals):
+        calls = []
+        step = ptorus._pair_step
+        monkeypatch.setattr(ptorus, "_pair_step", lambda a, b, c: calls.append(c) or step(a, b, c))
+        res = thurston_distance(MarkovPoint(3, 3, 3), MarkovPoint(3, 3, 6), tol=tol,
+                                certified_bound=certified_bound)
+        assert (len(calls), res.evals) == (steps, evals)
 
 
 class TestPrunedSweep:
