@@ -6,9 +6,10 @@ take --tol, --max-depth and --require-certified, and they carry the tolerance
 and certification metadata that produced each number.  Runs are
 deterministic: identical arguments produce byte-identical output.
 
-Exit codes: 0 success, 1 a numeric fault (overflow, underflow to zero)
-at extreme but valid input, 2 malformed or out-of-chart input, 3 when
---require-certified is set and an enumerated supremum was not certified.
+Exit codes: 0 success, 1 a numeric fault (overflow, underflow to zero, an
+output value that is not finite) at extreme but valid input, 2 malformed
+or out-of-chart input, 3 when --require-certified is set and an
+enumerated supremum was not certified.
 ``main(argv)`` is the in-process entry point and returns the exit code.
 """
 
