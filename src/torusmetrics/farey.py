@@ -10,6 +10,10 @@ Negative slopes carry p < 0, q > 0.  The tree over them is the mirror image
 (p -> -p) of the positive tree, which keeps one canonical label per curve
 class and avoids double counting.
 
+A slope's path down the tree is derived in one place, the continued-fraction
+kernel in Python ints: ``convergents``, ``ancestor`` (a slope's depth, or its
+ancestor at a depth) and ``act`` (GL(2,Z) on slopes).
+
 The sup engine carries a caller-defined state per slope down the tree, so a
 recursion over Farey triangles costs O(1) per slope; the plainest state is
 the slope itself (``SLOPE_ROOTS`` and ``add_slopes``).  A cell is its two
@@ -33,6 +37,9 @@ __all__ = [
     "enumerate_slopes",
     "slope_parents",
     "root_nodes",
+    "convergents",
+    "ancestor",
+    "act",
     "MAX_ENUM_DEPTH",
 ]
 
@@ -243,11 +250,11 @@ def path_state(slope: Slope, roots: tuple, combine):
         return roots[p]
     pos, neg = root_cells(roots)
     cell, state = (pos, roots[2]) if p > 0 else (neg, mediant_state(neg, combine))
-    pp, pq = p * p, p * q  # p/q < mp/mq times p * p, which flips the test below 0
-    while (cell[0] + cell[2], cell[1] + cell[3]) != (p, q):
-        left, right = split(cell, state)
-        cell = left if pp * left[3] < pq * left[2] else right  # nearer 0/1 than the mediant?
-        state = mediant_state(cell, combine)
+    # away from 0/1 (right) down to the first convergent's depth, then left to the next's, ...
+    for turn, (_, _, depth) in enumerate(convergents(p, q)):
+        while cell[4] <= depth and (cell[0] + cell[2], cell[1] + cell[3]) != (p, q):
+            cell = split(cell, state)[~turn & 1]
+            state = mediant_state(cell, combine)
     return state
 
 
@@ -293,16 +300,53 @@ def slope_parents(s: Slope) -> tuple[Slope, Slope, Slope]:
     completions of that edge into a triangle.  (On the negative wedge the
     canonical 1/0 hides a sign, so s is not always literally the canonical
     mediant of a and b.)  Trace recursions combine values at a, b, c into
-    the value at s.
+    the value at s.  One parent is the convergent before s, +-1/0 before +-n/1.
     """
     p, q = s.p, s.q
     if (p, q) in ((0, 1), (1, 0)):
         raise ValueError(f"root slope {s} has no Farey parents")
-    if p < 0:
-        a, b, c = slope_parents(Slope(-p, q))
-        return a.mirrored(), b.mirrored(), c.mirrored()
-    if p == 1:  # 1/q: the neighbors 1/(q-1) and 0/1
-        return Slope(1, q - 1), Slope(0, 1), Slope.of(1, q - 2)
-    u = pow(q, -1, p)
-    v = (u * q - 1) // p
-    return Slope(u, v), Slope(p - u, q - v), Slope.of(2 * u - p, 2 * v - q)
+    h, k, _ = [(-1 if p < 0 else 1, 0, 0), *convergents(p, q)][-2]
+    a, b = ((h, k), (p - h, q - k)) if abs(h) * q > k * abs(p) else ((p - h, q - k), (h, k))
+    return Slope.of(*a), Slope.of(*b), Slope.of(a[0] - b[0], a[1] - b[1])
+
+
+# -- the continued-fraction kernel ------------------------------------------------
+
+def convergents(n: int, d: int):
+    """(h, k, depth) for each continued-fraction convergent h/k of n/d, d > 0, up to
+    n/d in lowest terms (Graham, Knuth and Patashnik, "Concrete Mathematics", 4.5).
+    depth is h/k's Stern-Brocot depth, but -1 at a convergent 0/1 of n/d >= 0;
+    it steps by the partial quotients, the runs of n/d's path."""
+    h0, k0, h1, k1, depth = 0, 1, 1, 0, -1
+    if n < 0:
+        n, h1, depth = -n, -1, 0
+    while d:
+        a, (n, d) = n // d, (d, n % d)
+        h0, k0, h1, k1, depth = h1, k1, a * h1 + h0, a * k1 + k0, depth + a
+        yield h1, k1, depth
+
+
+def ancestor(p: int, q: int, depth: int | None = None) -> tuple[int, int, int]:
+    """(p', q', d): the canonical slope p/q at its Stern-Brocot depth d, or past ``depth``
+    its ancestor there, where a partial quotient passes it: a semiconvergent, or the
+    convergent before (below 0, depth 0 gives the root endpoint on p/q's side, 1/0 from
+    -1/1 on).  d alone takes a plain loop, twice as fast as walking the convergents."""
+    d, n, m = (p < 0) - 1, abs(p), q
+    while m:
+        d += n // m
+        n, m = m, n % m
+    if depth is None or d <= depth:
+        return p, q, max(d, 0)
+    h0, k0, h1, k1, d1 = 0, 1, -1 if p < 0 else 1, 0, (p < 0) - 1
+    for h, k, d in convergents(p, q):
+        if d > depth:
+            if j := depth - d1:  # the steps of the clipped partial quotient
+                h1, k1 = j * h1 + h0, j * k1 + k0
+            return (h1 if k1 else 1), k1, depth
+        h0, k0, h1, k1, d1 = h1, k1, h, k, d
+
+
+def act(m: tuple, p: int, q: int) -> tuple[int, int]:
+    """The canonical slope (p', q') of m (p, q), for m = (a, b, c, d) in GL(2, Z)."""
+    p, q = m[0] * p + m[1] * q, m[2] * p + m[3] * q
+    return (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, dropwhile, repeat
 
 from .errors import InvalidPointError
-from .farey import Slope, direction
+from .farey import Slope, act, ancestor, convergents, direction
 from .supratio import SupRatioResult
 # stays importable as torus.maximize: perfbench/tracing.py wraps it; no code here calls it
 from .supratio import maximize  # noqa: F401
@@ -209,8 +209,8 @@ def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
 # Relative rounding allowance of lambda_hi over e^(2d) and over every ratio
 # computed (see teich_distance_enum)
 _ROUNDING = 2.0**-44
-# the root slopes 0/1, 1/0, 1/1 and -1/1, evaluated first
-_ROOTS = ((0, 1), (1, 0), (1, 1), (-1, 1))
+# the root slopes 0/1, 1/0, 1/1 and -1/1 with their depths, evaluated first
+_ROOTS = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
 
 
 def _moebius(m: tuple, x: float, y: float) -> tuple[float, float]:
@@ -253,50 +253,6 @@ def _reduced_frame(tau1: TorusPoint, tau2: TorusPoint) -> tuple:
     return m, ((u0 * v0 + u1 * v1) / n, (u0 * v1 - u1 * v0) / n), _moebius(m, tau2.x, tau2.y)
 
 
-def _walk(ep: float, eq: float):
-    """The root slopes, then the continued-fraction convergents of the slope ep/eq
-    but the roots among them."""
-    yield from _ROOTS
-    if eq < 0.0:
-        ep, eq = -ep, -eq
-    if not 0.0 < eq or not abs(ep) / eq < math.inf:  # 1/0, a root, or no direction
-        return
-    sign = -1 if ep < 0.0 else 1
-    n, d = (abs(ep) / eq).as_integer_ratio()
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    while d:
-        k, (n, d) = n // d, (d, n % d)
-        h0, k0, h1, k1 = h1, k1, k * h1 + h0, k * k1 + k0
-        if k1 > 1 or h1 > 1:
-            yield sign * h1, k1
-
-
-def _given_slope(m: tuple, p: int, q: int, max_depth) -> tuple:
-    """(p', q', depth, clipped): the reduced frame's slope p/q in the given frame,
-    with its Stern-Brocot depth, or its ancestor at max_depth when it lies deeper.
-
-    The given frame's p'/q' is (a p' - b q')/(d q' - c p') in the reduced frame of
-    m = (a, b, c, d).  depth is the partial quotients' sum less one (one more below
-    0); the partial quotient that would pass max_depth is clipped.
-    """
-    ma, mb, mc, md = m
-    p, q = md * p + mb * q, mc * p + ma * q
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    sign, n, d = (-1, -p, q) if p < 0 else (1, p, q)
-    depth, h0, k0, h1, k1 = (p < 0) - 1, 0, 1, 1, 0
-    while d:
-        k, (n, d) = n // d, (d, n % d)
-        depth += k
-        if max_depth is not None and depth > max_depth:
-            if k > depth - max_depth:  # a semiconvergent, else the convergent h1/k1
-                k -= depth - max_depth
-                h1, k1 = k * h1 + h0, k * k1 + k0
-            return (sign * h1 if k1 else 1), k1, max_depth, True
-        h0, k0, h1, k1 = h1, k1, k * h1 + h0, k * k1 + k0
-    return p, q, max(depth, 0), False
-
-
 def _ratio(a: tuple, b: tuple, p: int, q: int) -> float:
     """(w A w)/(w B w) at the slope w = p/q."""
     u0, u1 = direction(p, q)
@@ -324,10 +280,10 @@ def teich_distance_enum(
     value is at least lambda_hi - tol; ties go to the slope evaluated first.
     So the slopes evaluated, and the argmax, do not depend on how the caller
     labels the torus.  Depth does: each slope is taken back to the given
-    frame exactly in integers, ``max_depth`` (None: no cap) clips it to its
-    ancestor at that depth there, which ends the walk past the roots, and
-    ``stabilization_depth`` is the argmax's depth there.  e+ only steers;
-    lambda_hi is ``frontier_bound``.
+    frame exactly in integers (farey.act), ``max_depth`` (None: no cap)
+    clips it to its ancestor at that depth there (farey.ancestor), which
+    ends the walk past the roots, and ``stabilization_depth`` is the
+    argmax's depth there.  e+ only steers; lambda_hi is ``frontier_bound``.
 
     lambda = (s + sqrt(1 + s^2))^2 adds and multiplies positive terms only,
     so it is within about 15 units of roundoff u = 2^-53 of e^(2d); with
@@ -362,17 +318,24 @@ def teich_distance_enum(
     if not rows:
         raise OverflowError(f"the stretch direction from {tau1} to {tau2} overflows")
     row = max(rows, key=lambda r: max(abs(r[0]), abs(r[1])))
+    # the roots, then e+ = (-row[1], row[0])'s convergents but the roots (only its first two)
+    slope = -row[1] / row[0] if row[0] else math.inf
+    e_plus = convergents(*slope.as_integer_ratio()) if abs(slope) < math.inf else ()
+    # a slope p/q of the given frame is m' (p, q) in the reduced one, m' = (a, -b, -c, d)
+    ma, mb, mc, md = m
+    given, reduced = (md, mb, mc, ma), (ma, -mb, -mc, md)
     best, evals, depth_reached, hit_eval_cap = -math.inf, 0, 0, False
-    for rp, rq in _walk(-row[1], row[0]):
+    for rp, rq, _ in chain(_ROOTS, dropwhile(lambda c: c[1] <= 1 and abs(c[0]) <= 1, e_plus)):
         if evals >= len(_ROOTS) and best >= target:
             break
         if evals >= max_evals:
             hit_eval_cap = True
             break
-        cp, cq, c_depth, clipped = _given_slope(m, rp, rq, max_depth)
+        gp, gq = act(given, rp, rq)
+        cp, cq, c_depth = ancestor(gp, gq, max_depth)
+        clipped = cq != gq or cp != gp
         if clipped:
-            ma, mb, mc, md = m
-            rp, rq = ma * cp - mb * cq, md * cq - mc * cp
+            rp, rq = act(reduced, cp, cq)
         v, evals, depth_reached = _ratio(a, b, rp, rq), evals + 1, max(depth_reached, c_depth)
         if v > best:
             best, depth, p, q = v, c_depth, cp, cq

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,7 +8,10 @@ from torusmetrics.farey import (
     SLOPE_ROOTS,
     FareyNode,
     Slope,
+    act,
     add_slopes,
+    ancestor,
+    convergents,
     direction,
     enumerate_slopes,
     intersection_number,
@@ -237,6 +241,80 @@ class TestFareyNode:
         left, right = child.endpoint_slopes()
         assert left == Slope(0, 1)
         assert right == Slope(-1, 1)
+
+
+def _node_paths(depth):
+    """(slope, its depth, the mediants on its path from its root node) per node to depth."""
+    stack = [(node, ()) for node in root_nodes()]
+    while stack:
+        node, above = stack.pop()
+        path = (*above, node.mediant_slope())
+        yield path[-1], node.depth, path
+        if node.depth < depth:
+            stack += [(child, path) for child in node.children()]
+
+
+# (a, b, c, d), taking (p, q) to (a p + b q, c p + d q): the slope maps that
+# permute the root slopes 1/0, 0/1, 1/1 (six), and generators of GL(2, Z)
+ROOT_PERMUTATIONS = [(1, 0, 0, 1), (0, 1, 1, 0), (-1, 1, 0, 1), (1, 0, 1, -1),
+                     (1, -1, 1, 0), (0, -1, 1, -1)]
+GENERATORS = [(1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0), (1, 0, 1, 1), (-1, 0, 0, 1)]
+
+
+def _times(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+class TestKernel:
+    """convergents, ancestor and act against the FareyNode reference walk, to depth 12."""
+
+    def test_depth_and_every_ancestor_match_the_reference_walk(self):
+        count = 0
+        for s, depth, path in _node_paths(12):
+            top = depth - len(path) + 1  # 0 on the positive root, 1 on the mirrored one
+            assert ancestor(s.p, s.q) == (s.p, s.q, depth)
+            for cap in (depth, depth + 1, depth + 7):
+                assert ancestor(s.p, s.q, cap) == (s.p, s.q, depth)
+            for cap in range(top, depth):
+                a = path[cap - top]
+                assert ancestor(s.p, s.q, cap) == (a.p, a.q, cap), (s, cap)
+            if top:  # below 0, depth 0 is the root endpoint on the slope's side
+                assert ancestor(s.p, s.q, 0) == ((0, 1, 0) if -s.p < s.q else (1, 0, 0)), s
+            count += 1
+        assert count == 3 * 2 ** 12 - 2  # every slope to depth 12 but 0/1 and 1/0
+        for p, q in ((0, 1), (1, 0)):
+            assert ancestor(p, q) == ancestor(p, q, 0) == (p, q, 0)
+
+    def test_convergents_lie_on_the_path_and_end_at_the_slope(self):
+        for s, depth, path in _node_paths(12):
+            got = list(convergents(s.p, s.q))
+            assert got[-1] == (s.p, s.q, depth)
+            for h, k, d in got[:-1]:
+                assert d < depth
+                # a convergent 0/1 of a positive slope bounds the root cell, above 1/1
+                assert ancestor(s.p, s.q, d) == (h, k, d) if d >= 0 else (h, k, d) == (0, 1, -1)
+
+    def test_act_matches_the_integer_map(self):
+        rng = random.Random(47)
+        words = []
+        for _ in range(20):
+            m = (1, 0, 0, 1)
+            for _ in range(rng.randrange(1, 13)):
+                m = _times(m, rng.choice(GENERATORS))
+            words.append(m)
+        slopes = [Slope(0, 1), Slope(1, 0), *(s for s, _, _ in _node_paths(12))]
+        for m in ROOT_PERMUTATIONS + words:
+            a, b, c, d = m
+            for s in slopes:
+                t = Slope.of(a * s.p + b * s.q, c * s.p + d * s.q)
+                assert act(m, s.p, s.q) == (t.p, t.q), (m, s)
+
+    def test_root_permutations_permute_the_roots(self):
+        roots = {(1, 0), (0, 1), (1, 1)}
+        for m in ROOT_PERMUTATIONS:
+            assert {act(m, p, q) for p, q in roots} == roots
 
 
 class TestSlopeParents:

@@ -2,9 +2,10 @@
 
 The benchmark's traced pass (perfbench/tracing.py) rebinds names in the
 package's modules, so a rename under src/ must fail here first; the
-runtime imports nothing outside the standard library; and it memoizes
+runtime imports nothing outside the standard library; it memoizes
 nothing, so speed comes from the cost per slope, not from results kept
-across queries.
+across queries; and only farey's continued-fraction kernel derives a
+slope's path (Euclid's loop).
 """
 
 import ast
@@ -181,3 +182,47 @@ def test_runtime_keeps_no_memo():
     assert files
     for path in files:
         assert _memo_violations(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _euclid_loops(source: str) -> list[int]:
+    """Lines of the loops that take // and % (or divmod) of the same two operands."""
+    found = []
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+                                 ast.DictComp, ast.GeneratorExp)):
+            continue
+        taken = {ast.FloorDiv: set(), ast.Mod: set()}
+        for node in ast.walk(loop):
+            if isinstance(node, ast.BinOp) and type(node.op) in taken:
+                taken[type(node.op)].add((ast.unparse(node.left), ast.unparse(node.right)))
+            elif isinstance(node, ast.AugAssign) and type(node.op) in taken:
+                taken[type(node.op)].add((ast.unparse(node.target), ast.unparse(node.value)))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "divmod" and len(node.args) == 2):
+                for ops in taken.values():
+                    ops.add(tuple(map(ast.unparse, node.args)))
+        if taken[ast.FloorDiv] & taken[ast.Mod]:
+            found.append(loop.lineno)
+    return found
+
+
+def test_the_euclid_rule_sees_euclid_loops():
+    euclid = "while d:\n    k, (n, d) = n // d, (d, n % d)\n"
+    assert _euclid_loops(euclid) == [1]
+    assert _euclid_loops("def f(n, d):\n    for _ in range(9):\n        k, r = divmod(n, d)\n") == [2]
+    assert _euclid_loops("while d:\n    k = n // d\n    n %= d\n    n, d = d, n\n") == [1]
+    assert _euclid_loops("x = [n // d + n % d for n in ns]\n") == [1]
+    # different operands, or no loop, is not Euclid's loop
+    assert _euclid_loops("for k in range(4):\n    first = -k * n % 4 // g\n") == []
+    assert _euclid_loops("k, (n, d) = n // d, (d, n % d)\n") == []
+
+
+def test_only_farey_runs_euclids_loop():
+    # a slope's continued fraction, depth and ancestors come from farey's
+    # kernel (convergents, ancestor, act); a copy elsewhere would drift from it
+    files = sorted((SRC / "torusmetrics").glob("*.py"))
+    assert files
+    for path in files:
+        if path.name != "farey.py":
+            assert _euclid_loops(path.read_text(encoding="utf-8")) == [], path.name
+
