@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
 
@@ -66,12 +67,12 @@ class SupQuery:
     """
 
     objective: Callable
-    subtree_bound: Optional[Callable] = None
+    subtree_bound: Callable | None = None
     tolerance: float = 1e-6
     max_depth: int = 24
     max_evals: int = 200_000
-    roots: Optional[tuple] = None
-    combine: Optional[Callable] = None
+    roots: tuple | None = None
+    combine: Callable | None = None
     exhaustive: bool = False
 
     def __post_init__(self):
@@ -100,7 +101,7 @@ class SupRatioResult:
     value: float
     argmax: Slope
     certified: bool
-    frontier_bound: Optional[float]
+    frontier_bound: float | None
     evals: int
     stabilization_depth: int
     depth_reached: int
@@ -139,7 +140,7 @@ class _Search:
         self.query = query
         self.evals = 0
         self.best_value = -math.inf
-        self.best_key: Optional[tuple] = None
+        self.best_key: tuple | None = None
         self.depth_max: dict[int, float] = {}
 
     def evaluate(self, p: int, q: int, depth: int, state) -> None:
@@ -155,7 +156,7 @@ class _Search:
             self.best_value = v
             self.best_key = key
 
-    def result(self, certified: bool, frontier_bound: Optional[float],
+    def result(self, certified: bool, frontier_bound: float | None,
                hit_eval_cap: bool = False) -> SupRatioResult:
         assert self.best_key is not None
         running = -math.inf

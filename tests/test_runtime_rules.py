@@ -4,13 +4,16 @@ The benchmark's traced pass (perfbench/tracing.py) rebinds names in the
 package's modules, so a rename under src/ must fail here first; the
 runtime imports nothing outside the standard library; it memoizes
 nothing, so speed comes from the cost per slope, not from results kept
-across queries; and only farey's continued-fraction kernel derives a
-slope's path (Euclid's loop).
+across queries; only farey's continued-fraction kernel derives a slope's
+path (Euclid's loop); and every public annotation resolves.
 """
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,3 +229,22 @@ def test_only_farey_runs_euclids_loop():
         if path.name != "farey.py":
             assert _euclid_loops(path.read_text(encoding="utf-8")) == [], path.name
 
+
+def test_every_public_annotation_resolves():
+    # annotations stay strings at run time (from __future__ import annotations),
+    # so a name they use but the module never binds fails only in tools that read them
+    checked = 0
+    for path in sorted((SRC / "torusmetrics").glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"torusmetrics.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                targets = [obj, *(f for f in vars(obj).values() if inspect.isfunction(f))]
+            else:
+                targets = [obj] if inspect.isfunction(obj) else []
+            for target in targets:
+                typing.get_type_hints(target)
+                checked += 1
+    assert checked > 50
