@@ -182,13 +182,14 @@ def gardiner_pairing(phi: QuadDiff, v: TangentVector, tau: TorusPoint) -> float:
 
 # -- the extremal-length form -------------------------------------------------
 
-def _q_form(x: float, y: float) -> tuple[float, float, float]:
-    """Symmetric form (f11, f12, f22) with Ext_(p,q) = [p q] F [p q]^T at x + iy."""
-    f22 = (x * x + y * y) / y
+def _q_form(x: float, y: float, s: float = 1.0) -> tuple[float, float, float]:
+    """s = 2^-k times the symmetric form F with Ext_(p,q) = [p q] F [p q]^T at x + iy."""
+    f12 = s * x / y
+    f22 = (x * x + y * y) * s / y
     if not 0.0 < f22 < math.inf:
         # x^2 + y^2 overflowed (huge y) or underflowed to 0 (tiny x and y)
-        f22 = x * (x / y) + y
-    return (1.0 / y, x / y, f22)
+        f22 = f12 * x + s * y
+    return (s / y, f12, f22)
 
 
 # -- distances ----------------------------------------------------------------
@@ -291,9 +292,10 @@ def teich_distance_enum(
     exceeds its exact value, at most e^(2d), by a few tens of u.  lambda_hi =
     lambda * (1 + 2^-44), 512 u, covers both (seeded pairs with |x| to 1e12
     and y from 1e-300 to 1e300 erred by at most 8 u); a tol under the ratios'
-    rounding floor 2^-43 * lambda_hi is taken at that floor.  Raises
-    OverflowError when an entry of a form in the reduced frame, or e^(2d),
-    is not a finite float.
+    rounding floor 2^-43 * lambda_hi is taken at that floor.  A target form
+    past the float range is scaled into it by a power of two.  Raises
+    OverflowError when e^(2d), or an entry of the source's form in the
+    reduced frame, is not a finite float, or the target rounds to y = 0 there.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -308,10 +310,15 @@ def teich_distance_enum(
     if not lam_hi < math.inf:
         raise OverflowError(f"the extremal-length ratio from {tau1} to {tau2} overflows")
     m, (x1, y1), (x2, y2) = _reduced_frame(tau1, tau2)
-    a, b = _q_form(x2, y2) if y2 > 0.0 else (math.inf,), _q_form(x1, y1)
-    if not all(map(math.isfinite, a + b)):  # y2 may round to 0 in the reduced frame
-        raise OverflowError(f"the extremal-length forms of {tau1} and {tau2} overflow in the reduced frame")
-    target = lam_hi - max(tol, 2.0 * _ROUNDING * lam_hi)
+    a, b, s = _q_form(x2, y2) if y2 > 0.0 else (math.inf,), _q_form(x1, y1), 1.0
+    if not all(map(math.isfinite, a + b)):
+        if not (y2 > 0.0 and all(map(math.isfinite, b))):  # y2 may round to 0 in the reduced frame
+            raise OverflowError(f"the extremal-length forms of {tau1} and {tau2} overflow in the reduced frame")
+        # ratios are homogeneous in A: scale A, lambda and the target by s into range
+        (_, ex), (_, ey) = math.frexp(x2), math.frexp(y2)
+        s = 2.0 ** (1024 - max(2 * ex - ey + 2, ey + 1, 1 - ey))
+        a = _q_form(x2, y2, s)
+    lam, target = lam * s, (lam_hi - max(tol, 2.0 * _ROUNDING * lam_hi)) * s
     # e+ is normal to the row of A - lam*B further from 0, of those that stay finite
     rows = [r for r in ((a[0] - lam * b[0], a[1] - lam * b[1]), (a[1] - lam * b[1], a[2] - lam * b[2]))
             if math.isfinite(r[0]) and math.isfinite(r[1])]
@@ -341,7 +348,7 @@ def teich_distance_enum(
             best, depth, p, q = v, c_depth, cp, cq
         if clipped and evals > len(_ROOTS):
             break
-    return SupRatioResult(best, Slope._unchecked(p, q), best >= target, lam_hi, evals, depth,
+    return SupRatioResult(best / s, Slope._unchecked(p, q), best >= target, lam_hi, evals, depth,
                           depth_reached, hit_eval_cap)
 
 

@@ -129,16 +129,24 @@ class TestDistTeich:
         engine = json.loads(capsys.readouterr().out)["engine"]
         assert (engine["value"], engine["argmax"]) == (9000000000002.0, "1/3000000")
 
+    def test_target_form_past_the_float_range_certifies(self, capsys):
+        # |tau2|^2/y2 = 2e308 overflows, but every ratio of the forms is finite
+        src, dst = "1e300i", "1e308+1e308i"
+        assert main(["dist-teich", "--from", src, "--to", dst, "--require-certified"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = torus.teich_distance_oracle(torus.TorusPoint.parse(src), torus.TorusPoint.parse(dst))
+        assert payload["distance"] == pytest.approx(expected, rel=1e-12)
+        assert payload["engine"]["certified"] is True
+
     @pytest.mark.parametrize(
         "src, dst",
         [("2.225073858507203e-309i", "i"), ("1e-300i", "1e300i"),
-         ("2.2e-309i", "3e-309i"),
-         ("1e300i", "1e308+1e308i")],
-        ids=["subnormal-y", "ratio-overflows", "subnormal-y-both", "form-overflows"],
+         ("2.2e-309i", "3e-309i")],
+        ids=["subnormal-y", "ratio-overflows", "subnormal-y-both"],
     )
     def test_numeric_fault_exits_1_with_one_error_line(self, capsys, src, dst):
-        # an extremal-length form or the supremum e^(2d) overflows: valid
-        # input, so not exit 2
+        # the supremum e^(2d) overflows, or y2 rounds to 0 in the reduced frame:
+        # valid input, so not exit 2
         assert main(["dist-teich", "--from", src, "--to", dst]) == 1
         out, err = capsys.readouterr()
         assert out == ""
