@@ -191,28 +191,20 @@ def _point_logs(point):
     return math.log(x), math.log(y), math.log(z), math.log(x * y - z)
 
 
-def ptorus_bruteforce_sup(src, dst, depth: int):
-    """Max of ell_dst/ell_src over every slope to the given depth.
+def ptorus_bruteforce_ratios(src, dst, depth: int):
+    """ell_dst/ell_src at every slope to the given depth, and the slopes.
 
     Carries log traces of the two endpoint curves and the opposite vertex
     of each Farey cell for both points, level by level; O(1) per slope and
-    immune to trace overflow.  Returns (max_ratio, (p, q)).
+    immune to trace overflow.  Returns (ratios, ps, qs): 0/1 and 1/0, then
+    the positive wedge and the negative one level by level, the negative
+    one a level deeper.
     """
     lx, ly, lz, lw = _point_logs(src)
     mx, my, mz, mw = _point_logs(dst)
 
-    best = -np.inf
-    best_slope = None
-
-    def consider(ratios, ps, qs):
-        nonlocal best, best_slope
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            best_slope = (int(ps[i]), int(qs[i]))
-
     base = np.array([[ly, lx], [my, mx]])
-    consider(ell_np(base[1]) / ell_np(base[0]), np.array([0, 1]), np.array([1, 0]))
+    ratios, ps, qs = [ell_np(base[1]) / ell_np(base[0])], [np.array([0, 1])], [np.array([1, 0])]
 
     # (a, b, opposite) log traces per wedge, for src and dst in parallel;
     # the positive wedge's opposite vertex is -1/1, the negative wedge's 1/1.
@@ -236,12 +228,22 @@ def ptorus_bruteforce_sup(src, dst, depth: int):
             lm = la + lb + np.log1p(-np.exp(lc - la - lb))
             mm = ma + mb + np.log1p(-np.exp(mc - ma - mb))
             pm, qm = pa + pb, qa + qb
-            consider(ell_np(mm) / ell_np(lm), pm, qm)
+            ratios.append(ell_np(mm) / ell_np(lm))
+            ps.append(pm)
+            qs.append(qm)
             la, lb, lc = np.concatenate([la, lm]), np.concatenate([lm, lb]), np.concatenate([lb, la])
             ma, mb, mc = np.concatenate([ma, mm]), np.concatenate([mm, mb]), np.concatenate([mb, ma])
             pa, qa = np.concatenate([pa, pm]), np.concatenate([qa, qm])
             pb, qb = np.concatenate([pm, pb]), np.concatenate([qm, qb])
-    return best, best_slope
+    return np.concatenate(ratios), np.concatenate(ps), np.concatenate(qs)
+
+
+def ptorus_bruteforce_sup(src, dst, depth: int):
+    """Max of ell_dst/ell_src over every slope to the given depth, as
+    (max_ratio, (p, q)); ties go to the first slope in ptorus_bruteforce_ratios."""
+    ratios, ps, qs = ptorus_bruteforce_ratios(src, dst, depth)
+    i = int(np.argmax(ratios))
+    return float(ratios[i]), (int(ps[i]), int(qs[i]))
 
 
 # -- the punctured-torus trace step and length formula, in full ---------------

@@ -1,12 +1,17 @@
-"""Flat-torus invariance: seeded moduli far from the fundamental domain.
+"""Invariance under the models' symmetries.
 
-SL(2,Z) acts on moduli by Teichmueller isometries that carry slopes along,
-and so does the reflection tau -> -conj(tau); teich_distance_oracle is
-exact.  So every certified distance must match the oracle, stay put under
-tau -> tau + n, tau -> -1/tau and tau -> -conj(tau), and keep its argmax
-up to the slope map of the isometry.  The bands are those where searching
-in the given frame used to certify wrong distances: |x| from 1e4 to 1e12,
-thin moduli, y from 1e-300 to 1e300, and y far below a small x.
+Flat torus: seeded moduli far from the fundamental domain.  SL(2,Z) acts
+on moduli by Teichmueller isometries that carry slopes along, and so does
+the reflection tau -> -conj(tau); teich_distance_oracle is exact.  So every
+certified distance must match the oracle, stay put under tau -> tau + n,
+tau -> -1/tau and tau -> -conj(tau), and keep its argmax up to the slope
+map of the isometry.  The bands are those where searching in the given
+frame used to certify wrong distances: |x| from 1e4 to 1e12, thin moduli,
+y from 1e-300 to 1e300, and y far below a small x.
+
+Punctured torus: permuting the traces (x, y, z) of the root slopes 1/0,
+0/1, 1/1 relabels the same structure by a slope map in GL(2,Z) that
+permutes the roots, so it keeps every length up to that map.
 """
 
 import math
@@ -17,6 +22,14 @@ import pytest
 
 from torusmetrics.errors import InvalidPointError
 from torusmetrics.farey import Slope
+from torusmetrics.ptorus import (
+    MarkovPoint,
+    PTTangent,
+    from_parameters,
+    tangent_from_chart,
+    thurston_distance,
+    thurston_norm,
+)
 from torusmetrics.torus import (
     TangentVector,
     TorusPoint,
@@ -26,7 +39,7 @@ from torusmetrics.torus import (
     teich_norm,
 )
 
-from _oracles import polygon_is_convex_with_origin
+from _oracles import polygon_is_convex_with_origin, ptorus_bruteforce_ratios
 
 TOL = 1e-6
 
@@ -233,3 +246,67 @@ def test_dual_sphere_keeps_criterion_5_at_every_modulus(y):
             v = TangentVector(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
             support, exact = max(g.pair(v) for g in covs), 2.0 * teich_norm(tau, v)
             assert exact * math.cos(math.pi / n) * (1.0 - 1e-12) <= support <= exact * (1.0 + 1e-12)
+
+
+# Each permutation (i, j, k) of the traces, taking (x, y, z) to the i-th, j-th and
+# k-th of them, with the slope map (a, b, c, d), (p, q) -> (a p + b q, c p + d q),
+# that takes each slope to the one with the same trace at the permuted point:
+# it takes the root that carried the i-th trace to 1/0, the j-th to 0/1, the k-th to 1/1.
+PERMUTATIONS = {
+    (0, 1, 2): (1, 0, 0, 1),
+    (1, 0, 2): (0, 1, 1, 0),
+    (0, 2, 1): (-1, 1, 0, 1),
+    (2, 1, 0): (1, 0, 1, -1),
+    (1, 2, 0): (1, -1, 1, 0),
+    (2, 0, 1): (0, -1, 1, -1),
+}
+
+
+def permuted(point, perm):
+    traces = (point.x, point.y, point.z)
+    return MarkovPoint(*(traces[i] for i in perm))
+
+
+def chart_pairs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(from_parameters(rng.uniform(3.0, 6.0), rng.uniform(3.0, 6.0)) for _ in "xy")
+
+
+class TestTracePermutations:
+    def test_the_slope_maps_take_each_root_to_its_trace(self):
+        roots = ((1, 0), (0, 1), (1, 1))  # carrying x, y, z
+        for perm, (a, b, c, d) in PERMUTATIONS.items():
+            for i, (p, q) in zip(perm, roots):
+                assert Slope.of(a * roots[i][0] + b * roots[i][1],
+                                c * roots[i][0] + d * roots[i][1]) == Slope.of(p, q)
+
+    def test_depth_12_distances_keep_their_bits_and_carry_a_unique_argmax(self):
+        unique = 0
+        for src, dst in chart_pairs(12, 12):
+            res = thurston_distance(src, dst)
+            ratios, ps, qs = ptorus_bruteforce_ratios(src, dst, 12)
+            near = ratios >= res.value * (1.0 - 1e-9)
+            alone = int(near.sum()) == 1  # no other slope to depth 12 comes near it
+            unique += alone
+            for perm, (a, b, c, d) in PERMUTATIONS.items():
+                moved = thurston_distance(permuted(src, perm), permuted(dst, perm))
+                assert moved.value == res.value, (src, dst, perm)
+                if alone:
+                    p, q = res.argmax.p, res.argmax.q
+                    assert moved.argmax == Slope.of(a * p + b * q, c * p + d * q), (src, dst, perm)
+        assert unique >= 8
+
+    def test_norms_agree_with_the_tangent_permuted_alike(self):
+        rng = random.Random(13)
+        for point, _ in chart_pairs(13, 12):
+            v = tangent_from_chart(point, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            norm = thurston_norm(point, v, max_depth=10).value
+            w = (v.wx, v.wy, v.wz)
+            for perm in PERMUTATIONS:
+                moved = permuted(point, perm)
+                v2 = PTTangent(*(w[i] for i in perm), moved)
+                # the objective's three-term sum runs in another order, which moves
+                # it by a few ulp of its terms' size, up to |V|, not of the norm
+                assert thurston_norm(moved, v2, max_depth=10).value == pytest.approx(
+                    norm, rel=1e-14, abs=1e-14 * math.hypot(*w))
