@@ -293,8 +293,10 @@ class TestKernel:
             assert got[-1] == (s.p, s.q, depth)
             for h, k, d in got[:-1]:
                 assert d < depth
-                # a convergent 0/1 of a positive slope bounds the root cell, above 1/1
-                assert ancestor(s.p, s.q, d) == (h, k, d) if d >= 0 else (h, k, d) == (0, 1, -1)
+                if d < 0:  # a convergent 0/1 of a positive slope bounds the root cell, above 1/1
+                    assert (h, k) == (0, 1) and d == -1
+                else:
+                    assert ancestor(s.p, s.q, d) == (h, k, d)
 
     def test_act_matches_the_integer_map(self):
         rng = random.Random(47)
