@@ -171,7 +171,7 @@ def _run_converge_boundary(args: argparse.Namespace):
         try:
             point = ptorus.dehn_twist(base, about, k)
         except OverflowError as exc:
-            raise ValueError(f"--ks {k}: {exc}") from exc
+            raise OverflowError(f"--ks {k}: {exc}") from exc
         res = ptorus.thurston_distance(base, point, tol=args.tol, max_depth=args.max_depth)
         _note_cut_sweep(res, args, f" for k={k}")
         stretch = res.value

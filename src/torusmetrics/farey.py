@@ -221,6 +221,10 @@ def add_slopes(a: Slope, b: Slope, c: Slope) -> Slope:
     return Slope._unchecked(p, q)
 
 
+# (p, q, depth) of the root slopes and -1/1, in the order every search evaluates them
+ROOT_TIER = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
+
+
 def root_cells(roots: tuple) -> tuple[tuple, tuple]:
     """The root cells (0/1, 1/0) and (0/1, -1/0) over the states at 0/1, 1/0, 1/1."""
     s0, s_inf, s1 = roots

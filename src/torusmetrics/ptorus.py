@@ -34,6 +34,10 @@ Suprema over curves carry these values down the Stern-Brocot walk of the
 sup engine, one recursion step per slope.  Random access to a single slope
 applies the same steps along the slope's path from the root, so the two
 agree bit for bit and nothing is memoized.
+
+Dehn twists act on slopes through ``farey.act``: a twisted point's traces
+are its traces at the images of 1/0, 0/1, 1/1, by the same recursion in
+plain traces (``_trace_step``), which raises OverflowError past 1e150.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidPointError, OutOfChartError
-from .farey import Slope, path_state
+from .farey import Slope, act, path_state
 # stays importable as ptorus.slope_parents: perfbench/tracing.py counts its calls
 from .farey import slope_parents  # noqa: F401
 from .supratio import SupQuery, SupRatioResult, maximize
@@ -475,38 +479,33 @@ def thurston_norm(
 
 # -- mapping classes and boundary experiments ---------------------------------
 
-_TWIST_FORWARD = {
-    (1, 0): lambda x, y, z: (x, z, x * z - y),
-    (0, 1): lambda x, y, z: (z, y, y * z - x),
-    (1, 1): lambda x, y, z: (y, y * z - x, z),
-}
+_TWIST_SENSE = {Slope(1, 0): 1, Slope(0, 1): -1, Slope(1, 1): 1}
 
-_TWIST_BACKWARD = {
-    (1, 0): lambda x, y, z: (x, x * y - z, y),
-    (0, 1): lambda x, y, z: (x * y - z, y, x),
-    (1, 1): lambda x, y, z: (x * z - y, x, z),
-}
+
+def _trace_step(a: float, b: float, c: float) -> float:
+    """t_m = t_a t_b - t_c in plain traces, refusing to pass _TWIST_OVERFLOW."""
+    t = a * b - c
+    if not t <= _TWIST_OVERFLOW:
+        raise OverflowError(f"a twisted trace exceeds {_TWIST_OVERFLOW:.0e}")
+    return t
 
 
 def dehn_twist(point: MarkovPoint, about: Slope, k: int) -> MarkovPoint:
     """Apply k Dehn twists about one of the base slopes 1/0, 0/1, 1/1.
 
-    The trace maps are polynomial and preserve the trace relation exactly;
-    the trace of the twisting curve never changes.  Entries grow
-    exponentially in |k| and the iteration refuses to overflow silently.
+    On slopes, k twists about u = a/b are v -> v + s*det(u, v)*u, for s = k
+    times the sense in _TWIST_SENSE, which twists about 0/1 the other way.
+    The trace of the twisting curve never changes; the others grow
+    exponentially in |k|.
     """
-    key = (about.p, about.q)
-    if key not in _TWIST_FORWARD:
+    sense = _TWIST_SENSE.get(about)
+    if sense is None:
         raise ValueError(f"twists are implemented about 1/0, 0/1, 1/1, not {about}")
-    step = _TWIST_FORWARD[key] if k >= 0 else _TWIST_BACKWARD[key]
-    x, y, z = point.x, point.y, point.z
-    for i in range(abs(k)):
-        x, y, z = step(x, y, z)
-        if max(abs(x), abs(y), abs(z)) > _TWIST_OVERFLOW:
-            raise OverflowError(
-                f"trace entries exceed {_TWIST_OVERFLOW:.0e} after {i + 1} twists"
-            )
-    return MarkovPoint(x, y, z)
+    a, b, s = about.p, about.q, sense * k
+    m = (1 - s * a * b, s * a * a, -s * b * b, 1 + s * a * b)
+    roots = (point.y, point.x, point.z)  # at 0/1, 1/0, 1/1
+    return MarkovPoint(*(path_state(Slope(*act(m, p, q)), roots, _trace_step)
+                         for p, q in ((1, 0), (0, 1), (1, 1))))
 
 
 def normalized_length_functional(

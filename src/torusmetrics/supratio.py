@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .farey import (
-    SLOPE_ROOTS, Slope, _interleave, add_slopes, mediant_state, root_cells, split,
+    ROOT_TIER, SLOPE_ROOTS, Slope, _interleave, add_slopes, mediant_state, root_cells, split,
 )
 
 __all__ = ["SupQuery", "SupRatioResult", "maximize"]
@@ -179,17 +179,13 @@ class _Search:
         )
 
 
-# (p, q, depth) of the root slopes and -1/1, in evaluation order
-_ROOT_TIER = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
-
-
 def maximize(query: SupQuery) -> SupRatioResult:
     """Maximize the query objective over all slopes; see module docstring."""
     search = _Search(query)
     roots = query.roots
     pos, neg = root_cells(roots)
     s_neg = mediant_state(neg, query.combine)
-    for (p, q, depth), state in zip(_ROOT_TIER, (*roots, s_neg)):
+    for (p, q, depth), state in zip(ROOT_TIER, (*roots, s_neg)):
         search.evaluate(p, q, depth, state)
     if query.subtree_bound is None or query.exhaustive:
         return _maximize_exhaustive(search, s_neg)
@@ -211,7 +207,7 @@ def _maximize_exhaustive(search: _Search, s_neg) -> SupRatioResult:
     query = search.query
     objective, combine, bound = query.objective, query.combine, query.subtree_bound
     s0, s_inf, s1 = query.roots
-    budget = query.max_evals - len(_ROOT_TIER)
+    budget = query.max_evals - len(ROOT_TIER)
     paths, left, right, opp = None, [s0, s1], [s1, s_inf], [s_inf, s0]
     floor, cut = None, False
     for depth in range(1, query.max_depth + 1):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain, dropwhile, repeat
 
 from .errors import InvalidPointError
-from .farey import Slope, act, ancestor, convergents, direction
+from .farey import ROOT_TIER, Slope, act, ancestor, convergents, direction
 from .supratio import SupRatioResult
 # stays importable as torus.maximize: perfbench/tracing.py wraps it; no code here calls it
 from .supratio import maximize  # noqa: F401
@@ -210,8 +210,6 @@ def teich_distance_oracle(tau1: TorusPoint, tau2: TorusPoint) -> float:
 # Relative rounding allowance of lambda_hi over e^(2d) and over every ratio
 # computed (see teich_distance_enum)
 _ROUNDING = 2.0**-44
-# the root slopes 0/1, 1/0, 1/1 and -1/1 with their depths, evaluated first
-_ROOTS = ((0, 1, 0), (1, 0, 0), (1, 1, 0), (-1, 1, 1))
 
 
 def _moebius(m: tuple, x: float, y: float) -> tuple[float, float]:
@@ -301,7 +299,7 @@ def teich_distance_enum(
         raise ValueError("tolerance must be positive and finite")
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be nonnegative")
-    if max_evals < len(_ROOTS):
+    if max_evals < len(ROOT_TIER):
         raise ValueError("max_evals must allow at least the root evaluations")
     x1, y1, x2, y2 = tau1.x, tau1.y, tau2.x, tau2.y
     s = 0.5 * math.hypot(x2 - x1, y2 - y1) / (math.sqrt(y1) * math.sqrt(y2))
@@ -332,8 +330,8 @@ def teich_distance_enum(
     ma, mb, mc, md = m
     given, reduced = (md, mb, mc, ma), (ma, -mb, -mc, md)
     best, evals, depth_reached, hit_eval_cap = -math.inf, 0, 0, False
-    for rp, rq, _ in chain(_ROOTS, dropwhile(lambda c: c[1] <= 1 and abs(c[0]) <= 1, e_plus)):
-        if evals >= len(_ROOTS) and best >= target:
+    for rp, rq, _ in chain(ROOT_TIER, dropwhile(lambda c: c[1] <= 1 and abs(c[0]) <= 1, e_plus)):
+        if evals >= len(ROOT_TIER) and best >= target:
             break
         if evals >= max_evals:
             hit_eval_cap = True
@@ -346,7 +344,7 @@ def teich_distance_enum(
         v, evals, depth_reached = _ratio(a, b, rp, rq), evals + 1, max(depth_reached, c_depth)
         if v > best:
             best, depth, p, q = v, c_depth, cp, cq
-        if clipped and evals > len(_ROOTS):
+        if clipped and evals > len(ROOT_TIER):
             break
     return SupRatioResult(best / s, Slope._unchecked(p, q), best >= target, lam_hi, evals, depth,
                           depth_reached, hit_eval_cap)

@@ -19,6 +19,7 @@ import numpy as np
 
 from torusmetrics.errors import InvalidPointError
 from torusmetrics.farey import Slope, direction
+from torusmetrics.ptorus import MarkovPoint
 from torusmetrics.supratio import SupQuery, SupRatioResult, maximize
 from torusmetrics.torus import TangentVector, TorusPoint
 
@@ -334,6 +335,45 @@ def exact_length(point, slope) -> float:
             else:
                 left, tl, tc = mid, t, tl
     return 2.0 * math.acosh(float(t) / 2.0)
+
+
+# -- Dehn twists as polynomial maps of the trace triple ------------------------
+
+_TWIST_OVERFLOW = 1e150
+
+_TWIST_FORWARD = {
+    (1, 0): lambda x, y, z: (x, z, x * z - y),
+    (0, 1): lambda x, y, z: (z, y, y * z - x),
+    (1, 1): lambda x, y, z: (y, y * z - x, z),
+}
+
+_TWIST_BACKWARD = {
+    (1, 0): lambda x, y, z: (x, x * y - z, y),
+    (0, 1): lambda x, y, z: (x * y - z, y, x),
+    (1, 1): lambda x, y, z: (x * z - y, x, z),
+}
+
+
+def dehn_twist_reference(point, about: Slope, k: int):
+    """k Dehn twists about 1/0, 0/1 or 1/1, one polynomial trace map per twist.
+
+    Each map sends (x, y, z) to the traces at the images of 1/0, 0/1, 1/1
+    under one twist (about 0/1 in the inverse sense), so the iteration
+    never leaves the triple; it raises OverflowError once an entry passes
+    1e150.
+    """
+    key = (about.p, about.q)
+    if key not in _TWIST_FORWARD:
+        raise ValueError(f"twists are implemented about 1/0, 0/1, 1/1, not {about}")
+    step = _TWIST_FORWARD[key] if k >= 0 else _TWIST_BACKWARD[key]
+    x, y, z = point.x, point.y, point.z
+    for i in range(abs(k)):
+        x, y, z = step(x, y, z)
+        if max(abs(x), abs(y), abs(z)) > _TWIST_OVERFLOW:
+            raise OverflowError(
+                f"trace entries exceed {_TWIST_OVERFLOW:.0e} after {i + 1} twists"
+            )
+    return MarkovPoint(x, y, z)
 
 
 # -- explicit holonomy representation of a cusped punctured torus -------------

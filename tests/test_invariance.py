@@ -185,7 +185,7 @@ class TestReducedFrame:
         assert res.certified
         assert abs(0.5 * math.log(res.value) - oracle) <= 1e-6
         if distance is not None:
-            assert oracle == pytest.approx(distance, rel=1e-12)
+            assert oracle == pytest.approx(distance, rel=1e-12, abs=0)
 
     def test_isometries_keep_the_distance_and_carry_the_argmax(self):
         rng = random.Random(3)

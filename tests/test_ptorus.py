@@ -27,6 +27,7 @@ from torusmetrics.supratio import SupQuery, maximize
 from _oracles import (
     LOG2,
     central_diff,
+    dehn_twist_reference,
     dlen_factor_reference,
     ell_from_log_reference,
     exact_length,
@@ -86,7 +87,7 @@ class TestFromParameters:
 
     def test_four_four_root(self):
         point = from_parameters(4.0, 4.0)
-        assert point.z == pytest.approx(8.0 + 4.0 * math.sqrt(2.0), rel=1e-15)
+        assert point.z == pytest.approx(8.0 + 4.0 * math.sqrt(2.0), rel=1e-15, abs=0)
         assert point.residual <= 1e-9
 
     def test_out_of_chart_rejected(self):
@@ -151,14 +152,14 @@ class TestTraceOfSlope:
         cache = TraceCache(point)
         for s in enumerate_slopes(6):
             expected = word_trace(s, a, b)
-            assert math.exp(cache.log_trace(s)) == pytest.approx(expected, rel=1e-9)
+            assert math.exp(cache.log_trace(s)) == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_deep_slope_stays_finite_in_log_space(self):
         p, q = 610, 987  # consecutive Fibonacci numbers: a balanced deep slope
         log_t = TraceCache(MODULAR).log_trace(Slope(p, q))
         assert math.isfinite(log_t)
         ell = length(MODULAR, lam(1, p, q))
-        assert ell == pytest.approx(2.0 * log_t, rel=1e-9)
+        assert ell == pytest.approx(2.0 * log_t, rel=1e-9, abs=0)
 
     @pytest.mark.xfail(
         strict=True,
@@ -173,7 +174,7 @@ class TestTraceOfSlope:
         # 11/13, 0.29% above the exact ratio 20.82684605085858
         X = dehn_twist(from_parameters(3.3, 4.1), Slope(1, 1), -6)
         s = Slope(11, 13)
-        assert TraceCache(X).length(s) == pytest.approx(exact_length(X, s), rel=1e-9)
+        assert TraceCache(X).length(s) == pytest.approx(exact_length(X, s), rel=1e-9, abs=0)
 
     def test_n_over_1_and_its_children_match_exact_recursion(self):
         # the cells of +-n/1 combine their right endpoint 1/0 first, as every
@@ -190,7 +191,8 @@ class TestTraceOfSlope:
         for point in points:
             cache = TraceCache(point)
             for s in slopes:
-                assert cache.length(s) == pytest.approx(exact_length(point, s), rel=1e-11), (point, s)
+                assert cache.length(s) == pytest.approx(
+                    exact_length(point, s), rel=1e-11, abs=0), (point, s)
 
 
 class TestLengthAndDifferential:
@@ -203,7 +205,7 @@ class TestLengthAndDifferential:
         g1 = d_length(MODULAR, lam(1, 1, 2))
         g2 = d_length(MODULAR, lam(2, 1, 2))
         assert length(MODULAR, lam(2, 1, 2)) == pytest.approx(
-            2 * length(MODULAR, lam(1, 1, 2)), rel=1e-14
+            2 * length(MODULAR, lam(1, 1, 2)), rel=1e-14, abs=0
         )
         assert (g2.gx, g2.gy, g2.gz) == pytest.approx((2 * g1.gx, 2 * g1.gy, 2 * g1.gz))
 
@@ -270,14 +272,14 @@ class TestThurstonDistance:
         res = thurston_distance(MODULAR, MIRROR, max_depth=12)
         expected = math.acosh(3.0) / math.acosh(1.5)
         assert res.argmax == Slope(1, 1)
-        assert res.value == pytest.approx(expected, rel=1e-12)
+        assert res.value == pytest.approx(expected, rel=1e-12, abs=0)
         assert math.log(res.value) >= math.log(1.83) > 0.6
 
     def test_matches_bruteforce_at_same_depth(self):
         for depth in (10, 14):
             res = thurston_distance(MODULAR, MIRROR, max_depth=depth)
             brute, brute_slope = ptorus_bruteforce_sup(MODULAR, MIRROR, depth)
-            assert res.value == pytest.approx(brute, rel=1e-12)
+            assert res.value == pytest.approx(brute, rel=1e-12, abs=0)
             assert (res.argmax.p, res.argmax.q) == brute_slope
 
     def test_lower_bound_soundness(self):
@@ -424,7 +426,7 @@ class TestThurstonDistance:
         assert res.certified
         assert res.evals <= max_evals
         assert res.argmax == Slope(1, 1)
-        assert res.value == pytest.approx(math.acosh(3.0) / math.acosh(1.5), rel=1e-12)
+        assert res.value == pytest.approx(math.acosh(3.0) / math.acosh(1.5), rel=1e-12, abs=0)
 
 
 class TestThurstonNorm:
@@ -524,16 +526,17 @@ class TestDehnTwist:
             for k in (1, 2, 3):
                 there = dehn_twist(point, about, k)
                 back = dehn_twist(there, about, -k)
-                assert back.x == pytest.approx(point.x, rel=1e-9)
-                assert back.y == pytest.approx(point.y, rel=1e-9)
-                assert back.z == pytest.approx(point.z, rel=1e-9)
+                assert back.x == pytest.approx(point.x, rel=1e-9, abs=0)
+                assert back.y == pytest.approx(point.y, rel=1e-9, abs=0)
+                assert back.z == pytest.approx(point.z, rel=1e-9, abs=0)
 
     def test_invariant_and_base_trace_preserved_along_orbit(self):
-        point = MODULAR
-        for k in range(1, 51):
-            point = dehn_twist(point, Slope(1, 0), 1)
-            assert point.residual <= 1e-9
-            assert point.x == 3.0  # trace about the twisting curve
+        for about, fixed in ((Slope(1, 0), "x"), (Slope(0, 1), "y"), (Slope(1, 1), "z")):
+            point = MODULAR
+            for _ in range(50):
+                point = dehn_twist(point, about, 1)
+                assert point.residual <= 1e-9
+                assert getattr(point, fixed) == 3.0  # trace about the twisting curve
 
     def test_other_traces_grow_without_bound(self):
         values = [
@@ -550,12 +553,42 @@ class TestDehnTwist:
         with pytest.raises(ValueError):
             dehn_twist(MODULAR, Slope(1, 2), 1)
 
+    @staticmethod
+    def _outcome(twist, point, about, k):
+        try:
+            return twist(point, about, k)
+        except (OverflowError, InvalidPointError) as exc:  # past 1e150, or off the relation
+            return type(exc)
+
+    def test_matches_the_polynomial_trace_maps_bit_for_bit(self):
+        rng = random.Random(20261021)
+        points = [MODULAR, MIRROR, *(random_chart_point(rng) for _ in range(40))]
+        for point in points:
+            for about in (Slope(1, 0), Slope(0, 1), Slope(1, 1)):
+                # past |k| ~ 40 a twist overflows or leaves the trace relation, as the
+                # reference does; there only the exception class is compared
+                ks = [*range(-40, 41), -400, 400, *(rng.randrange(-400, 401) for _ in range(8))]
+                for k in ks:
+                    got = self._outcome(dehn_twist, point, about, k)
+                    want = self._outcome(dehn_twist_reference, point, about, k)
+                    assert got == want, (point, about, k)
+
+    def test_twists_compose_bit_for_bit_on_integer_triples(self):
+        # traces of integer triples stay integers below 2^53 here, so every
+        # route to T^(a+b) P rounds nothing
+        for point in (MODULAR, MIRROR, MarkovPoint(3.0, 6.0, 15.0)):
+            for about in (Slope(1, 0), Slope(0, 1), Slope(1, 1)):
+                for a in range(-10, 11):
+                    for b in range(-10, 11):
+                        twice = dehn_twist(dehn_twist(point, about, b), about, a)
+                        assert twice == dehn_twist(point, about, a + b), (point, about, a, b)
+
 
 class TestBoundaryConvergence:
     def test_normalized_functional_at_basepoint(self):
         weighted = lam(1.0, 0, 1)
         value = normalized_length_functional(MODULAR, MODULAR, weighted, max_depth=8)
-        assert value == pytest.approx(length(MODULAR, weighted), rel=1e-12)
+        assert value == pytest.approx(length(MODULAR, weighted), rel=1e-12, abs=0)
 
     def test_ratio_trend_toward_intersection_numbers(self):
         # both curves cross the twisting curve once, so the normalized
@@ -582,7 +615,7 @@ class TestBoundaryConvergence:
         normalized = normalized_length_functional(
             MODULAR, point, a, max_depth=8
         ) / normalized_length_functional(MODULAR, point, b, max_depth=8)
-        assert normalized == pytest.approx(direct, rel=1e-12)
+        assert normalized == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 # -- the long-curve shortcuts match the full formulas bit for bit -------------

@@ -5,7 +5,9 @@ package's modules, so a rename under src/ must fail here first; the
 runtime imports nothing outside the standard library; it memoizes
 nothing, so speed comes from the cost per slope, not from results kept
 across queries; only farey's continued-fraction kernel derives a slope's
-path (Euclid's loop); and every public annotation resolves.
+path (Euclid's loop); and every public annotation resolves.  The tests
+themselves give every ``approx`` that takes a relative tolerance an
+absolute one too.
 """
 
 import ast
@@ -248,3 +250,33 @@ def test_every_public_annotation_resolves():
                 typing.get_type_hints(target)
                 checked += 1
     assert checked > 50
+
+
+def _approx_without_abs(source: str) -> list[int]:
+    """Lines of the approx(...) calls that pass rel, by name or position, but not abs."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        given = {kw.arg for kw in node.keywords} | set(("expected", "rel", "abs")[:len(node.args)])
+        if name == "approx" and "rel" in given and "abs" not in given:
+            found.append(node.lineno)
+    return found
+
+
+def test_the_approx_rule_sees_rel_without_abs():
+    assert _approx_without_abs("assert y == pytest.approx(x, rel=1e-9)\n") == [1]
+    assert _approx_without_abs("from pytest import approx\ny == approx(\n    x, 1e-9)\n") == [2]
+    assert _approx_without_abs("pytest.approx(x, rel=1e-9, abs=0)\napprox(x, 1e-9, 0)\n") == []
+    assert _approx_without_abs("pytest.approx(x)\npytest.approx(x, abs=1e-9)\n") == []
+
+
+def test_no_approx_passes_rel_without_abs():
+    # without abs, approx keeps a default abs of 1e-12, which hides a move of
+    # a small value behind a tight rel; abs=0 checks the rel alone
+    files = sorted((ROOT / "tests").glob("*.py"))
+    assert files
+    for path in files:
+        assert _approx_without_abs(path.read_text(encoding="utf-8")) == [], path.name

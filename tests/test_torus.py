@@ -89,7 +89,7 @@ class TestExtremalLength:
             s = rng.choice(enumerate_slopes(4))
             a = rng.uniform(0.2, 3.0)
             assert extremal_length(fol(a, s.p, s.q), tau) == pytest.approx(
-                a * a * extremal_length(fol(1, s.p, s.q), tau), rel=1e-13
+                a * a * extremal_length(fol(1, s.p, s.q), tau), rel=1e-13, abs=0
             )
 
     def test_cylinder_modulus_oracle(self):
@@ -101,7 +101,8 @@ class TestExtremalLength:
             s = rng.choice(enumerate_slopes(4))
             circumference = abs(complex(s.p, 0) + s.q * complex(tau.x, tau.y))
             expected = circumference ** 2 / tau.y
-            assert extremal_length(fol(1, s.p, s.q), tau) == pytest.approx(expected, rel=1e-13)
+            assert extremal_length(fol(1, s.p, s.q), tau) == pytest.approx(
+                expected, rel=1e-13, abs=0)
 
     def test_flat_metric_realizes_supremum(self):
         # in the flat metric the straight representative is shortest: any
@@ -125,7 +126,7 @@ class TestExtremalLength:
 
         straight = curve_length(0.0)
         assert straight ** 2 / tau.y == pytest.approx(
-            extremal_length(fol(1, s.p, s.q), tau), rel=1e-6
+            extremal_length(fol(1, s.p, s.q), tau), rel=1e-6, abs=0
         )
         for amp in (0.05, 0.2):
             assert curve_length(amp) > straight
@@ -158,7 +159,7 @@ class TestExtremalLength:
             z = complex(tau.x, tau.y)
             image = (a * z + b) / (s.q * z + s.p)
             assert extremal_length(fol(1, s.p, s.q), tau) == pytest.approx(
-                1.0 / image.imag, rel=1e-10
+                1.0 / image.imag, rel=1e-10, abs=0
             )
 
 
@@ -249,7 +250,7 @@ class TestQuadDiff:
         tau = TorusPoint(0.7, 2.2)
         c1 = quad_diff_of_foliation(fol(1, 2, 3), tau).c
         c2 = quad_diff_of_foliation(fol(2, 2, 3), tau).c
-        assert c2 == pytest.approx(4 * c1, rel=1e-14)
+        assert c2 == pytest.approx(4 * c1, rel=1e-14, abs=0)
 
 
 class TestGardinerPairing:
@@ -370,7 +371,7 @@ class TestDistanceEnum:
         assert res.certified
         assert res.evals == 4
         assert res.argmax == Slope(0, 1)
-        assert 0.5 * math.log(res.value) == pytest.approx(0.5 * math.log(1e300), rel=1e-15)
+        assert 0.5 * math.log(res.value) == pytest.approx(0.5 * math.log(1e300), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
         "t1, t2, expected",
@@ -389,9 +390,9 @@ class TestDistanceEnum:
         # at huge-x |tau|^2/y overflows at both points, but not in the reduced frame;
         # at form-overflows |tau2|^2/y2 = 2e308 does there, and the walk scales A
         d = teich_distance_oracle(TorusPoint(*t1), TorusPoint(*t2))
-        assert d == pytest.approx(expected, rel=1e-12)
+        assert d == pytest.approx(expected, rel=1e-12, abs=0)
         res = teich_distance_enum(TorusPoint(*t1), TorusPoint(*t2))
-        assert d == pytest.approx(0.5 * math.log(res.value), rel=1e-12)
+        assert d == pytest.approx(0.5 * math.log(res.value), rel=1e-12, abs=0)
         assert res.certified and res.value <= res.frontier_bound
 
     @pytest.mark.parametrize(
@@ -518,7 +519,8 @@ class TestRayJumps:
         res = teich_distance_enum(*pair)
         assert res.certified and res.evals <= 10
         assert res.argmax.q == 1 and res.argmax.p.bit_length() > 500
-        assert res.value == pytest.approx(math.exp(2.0 * teich_distance_oracle(*pair)), rel=1e-12)
+        assert res.value == pytest.approx(
+            math.exp(2.0 * teich_distance_oracle(*pair)), rel=1e-12, abs=0)
         # a cap clips the walk at the cap, under the same finite bound
         capped = teich_distance_enum(*pair, max_depth=10**6)
         assert not capped.certified and capped.depth_reached == 10**6
@@ -589,7 +591,7 @@ class TestTeichNorm:
             if v.norm_sq() < 1e-4:
                 continue
             circle, res = teich_norm_sup_parts(tau, v, tol, 48, 200_000)
-            assert teich_norm(tau, v) == pytest.approx(circle, rel=1e-12)
+            assert teich_norm(tau, v) == pytest.approx(circle, rel=1e-12, abs=0)
             assert res.certified
             assert res.value <= circle + 1e-12
             assert circle <= res.value + tol
@@ -601,13 +603,13 @@ class TestTeichNorm:
         for v in (TangentVector(1.0, 0.0), TangentVector(-3.0, 2.0), TangentVector(0.0, 1e-100)):
             n = teich_norm(TorusPoint(x, y), v)
             assert math.isfinite(n)
-            assert n == pytest.approx(math.hypot(v.vx, v.vy) / (2 * y), rel=1e-12)
+            assert n == pytest.approx(math.hypot(v.vx, v.vy) / (2 * y), rel=1e-12, abs=0)
 
     def test_a_norm_past_the_float_range_raises_overflow(self):
         tau = TorusPoint(0.0, 1e-310)
         with pytest.raises(OverflowError):
             teich_norm(tau, TangentVector(1.0, 0.0))
-        assert teich_norm(tau, TangentVector(1e-10, 0.0)) == pytest.approx(5e299, rel=1e-12)
+        assert teich_norm(tau, TangentVector(1e-10, 0.0)) == pytest.approx(5e299, rel=1e-12, abs=0)
 
     def test_weak_norm_axioms(self):
         rng = random.Random(71)
@@ -769,7 +771,8 @@ class TestNormalizedExtremalFunctional:
     def test_at_basepoint(self):
         lam = fol(1.5, 1, 2)
         expected = math.sqrt(extremal_length(lam, I))
-        assert normalized_extremal_functional(I, I, lam) == pytest.approx(expected, rel=1e-13)
+        assert normalized_extremal_functional(I, I, lam) == pytest.approx(
+            expected, rel=1e-13, abs=0)
 
     def test_weight_rescaling_consistency(self):
         lam = fol(1.0, 2, 1)
@@ -777,7 +780,7 @@ class TestNormalizedExtremalFunctional:
         for a in (0.5, 2.0, 7.0):
             scaled = normalized_extremal_functional(I, tau, fol(a, 2, 1))
             assert scaled / a == pytest.approx(
-                normalized_extremal_functional(I, tau, lam), rel=1e-12
+                normalized_extremal_functional(I, tau, lam), rel=1e-12, abs=0
             )
 
     def test_twist_sequence_ratios_stabilize(self):
