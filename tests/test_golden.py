@@ -11,6 +11,7 @@ change of results, run
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -21,8 +22,9 @@ from pathlib import Path
 import pytest
 
 from torusmetrics import cli, ptorus, torus
-from torusmetrics.farey import SLOPE_ROOTS, Slope, add_slopes
-from torusmetrics.ptorus import TraceCache, from_parameters, tangent_from_chart
+from torusmetrics.errors import InvalidPointError
+from torusmetrics.farey import SLOPE_ROOTS, Slope, add_slopes, enumerate_slopes
+from torusmetrics.ptorus import TraceCache, dehn_twist, from_parameters, tangent_from_chart
 
 from _oracles import swept_states, teich_norm_sup_parts
 
@@ -125,6 +127,48 @@ def flat_torus_result(case):
     return {**res.to_json_dict(), "depth_reached": res.depth_reached, "circle": circle}
 
 
+# deep slopes on long partial quotients, and Fibonacci ratios on both sides
+DLOG_SLOPES = enumerate_slopes(8) + [Slope.parse(s) for s in ("1/40", "-40/1", "-987/610", "144/233")]
+
+
+def length_dlog_points():
+    """Seeded chart points, thin points whose 1/0 curve is short, and Dehn-twisted points."""
+    rng = random.Random(20261021)
+
+    def chart():
+        return from_parameters(rng.uniform(3.0, 6.0), rng.uniform(3.0, 6.0))
+
+    points = [chart(), chart()]
+    for _ in range(2):
+        x = rng.uniform(2.2, 3.0)
+        y_min = 2.0 * x / math.sqrt(x * x - 4.0)  # the chart is real from here on
+        points.append(from_parameters(x, rng.uniform(1.01 * y_min, y_min + 3.0)))
+    for about in ("1/0", "0/1", "1/1") * 2:
+        base = chart()
+        k = rng.choice((-1, 1)) * rng.randrange(10, 25)
+        points.append(dehn_twist(base, Slope.parse(about), k))
+    return points
+
+
+def length_dlog_result(point):
+    """TraceCache.length_dlog at every slope of DLOG_SLOPES, as a digest and the deep values.
+
+    Each slope's (length, gradient) or error message enters the digest in
+    repr, so a change in any bit of any value changes it.
+    """
+    cache = TraceCache(point)
+    values = []
+    for slope in DLOG_SLOPES:
+        try:
+            values.append(list(cache.length_dlog(slope)))
+        except InvalidPointError as exc:
+            values.append(str(exc))
+    text = json.dumps([[str(s), v] for s, v in zip(DLOG_SLOPES, values)])
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "errors": sum(isinstance(v, str) for v in values),
+            "deep": {str(s): v for s, v in zip(DLOG_SLOPES[-4:], values[-4:])}}
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_stdout_is_golden(name):
     code, out = cli_stdout(CLI_CASES[name])
@@ -151,6 +195,15 @@ def test_flat_torus_panel_is_golden():
         assert flat_torus_result(entry["case"]) == entry["result"], entry["case"]
 
 
+def test_length_dlog_is_golden():
+    recorded = json.loads((GOLDEN / "length_dlog.json").read_text(encoding="utf-8"))
+    assert [entry["point"] for entry in recorded] == [p.to_json_dict() for p in length_dlog_points()]
+    # the panel must keep covering slopes where the recursion degenerates
+    assert sum(entry["result"]["errors"] for entry in recorded) > 0
+    for entry, point in zip(recorded, length_dlog_points()):
+        assert length_dlog_result(point) == entry["result"], entry["point"]
+
+
 @pytest.mark.parametrize("params", [(3.0, 3.0), (3.7, 5.2)])
 def test_sweep_log_traces_match_random_access(params):
     # the tier sweep and the root-to-slope path walk must agree bit for bit
@@ -175,6 +228,8 @@ def _record():
     (GOLDEN / "panel.json").write_text(json.dumps(panel, indent=1) + "\n", encoding="utf-8")
     flat = [{"case": case, "result": flat_torus_result(case)} for case in flat_torus_inputs()]
     (GOLDEN / "flat_torus.json").write_text(json.dumps(flat, indent=1) + "\n", encoding="utf-8")
+    dlog = [{"point": p.to_json_dict(), "result": length_dlog_result(p)} for p in length_dlog_points()]
+    (GOLDEN / "length_dlog.json").write_text(json.dumps(dlog, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
