@@ -10,8 +10,8 @@ carries x, 0/1 carries y, 1/1 carries z.  Hyperbolic lengths are
 
 Traces grow doubly exponentially along balanced Farey paths and overflow
 doubles near depth 12, so the recursion runs in log space (``_log_step``),
-together with the gradient of log(trace) where a differential is needed;
-lengths and their differentials stay accurate at any depth.
+with the derivative of log(trace) along one direction where a differential
+is needed (``_jet_step``); lengths and their differentials stay accurate.
 
 Long curves take two shortcuts that skip work whose result rounds away,
 so every value is bit-identical to the full formula:
@@ -238,41 +238,20 @@ def _log_step(la: float, lb: float, lc: float) -> float:
     return lm
 
 
-def _grad_step(a: tuple, b: tuple, c: tuple) -> tuple[float, tuple[float, float, float]]:
-    """(log t, gradient of log t) at the mediant, from the same at a, b, c.
+def _jet_step(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
+    """(log t, D = d(log t)(V)) at the mediant, from the same at a, b, c.
 
-    _log_step is inlined: this is the step of every norm sweep.
+    D_m = (1 + r)(D_a + D_b) - r D_c, with r = t_c / t_m, is t_m = t_a t_b - t_c differentiated.
     """
-    la, ua = a[0], a[1]
-    lb, ub = b[0], b[1]
-    lc, uc = c[0], c[1]
-    d = lc - la - lb
-    if d < _FAR:
-        lm = la + lb
-    else:
-        ratio = math.exp(d)
-        if ratio >= 1.0:
-            raise InvalidPointError(_DEGENERATE)
-        lm = la + lb + math.log1p(-ratio)
-        if lm <= _LOG2:
-            raise InvalidPointError(_SHORT_CURVE)
-    r = math.exp(lc - lm)  # t_c / t_m
-    s = 1.0 + r            # t_a t_b / t_m
-    return lm, (
-        s * (ua[0] + ub[0]) - r * uc[0],
-        s * (ua[1] + ub[1]) - r * uc[1],
-        s * (ua[2] + ub[2]) - r * uc[2],
-    )
+    lm = _log_step(a[0], b[0], c[0])
+    r = math.exp(c[0] - lm)
+    return lm, (1.0 + r) * (a[1] + b[1]) - r * c[1]
 
 
-def _root_jets(point: MarkovPoint) -> tuple:
-    """(log t, gradient of log t) at the slopes 0/1, 1/0, 1/1."""
+def _root_jets(point: MarkovPoint, wx: float, wy: float, wz: float) -> tuple:
+    """(log t, D) at the slopes 0/1, 1/0, 1/1, along V = (wx, wy, wz)."""
     x, y, z = point.x, point.y, point.z
-    return (
-        (math.log(y), (0.0, 1.0 / y, 0.0)),
-        (math.log(x), (1.0 / x, 0.0, 0.0)),
-        (math.log(z), (0.0, 0.0, 1.0 / z)),
-    )
+    return (math.log(y), wy / y), (math.log(x), wx / x), (math.log(z), wz / z)
 
 
 class TraceCache:
@@ -282,25 +261,26 @@ class TraceCache:
     recursion the sweeps carry: O(depth), no memo, bit-identical values.
     """
 
-    __slots__ = ("point", "_jets")
+    __slots__ = ("point", "_logs")
 
     def __init__(self, point: MarkovPoint):
         self.point = point
-        self._jets = _root_jets(point)
+        self._logs = (math.log(point.y), math.log(point.x), math.log(point.z))
 
     def log_trace(self, slope: Slope) -> float:
-        return path_state(slope, tuple(j[0] for j in self._jets), _log_step)
+        return path_state(slope, self._logs, _log_step)
 
     def length(self, slope: Slope) -> float:
         """Geodesic length of the unit-weight curve, stable at any depth."""
         return _ell_from_log(self.log_trace(slope))
 
     def length_dlog(self, slope: Slope) -> tuple[float, float, float, float]:
-        """(length, g1, g2, g3) with g the gradient of the unit-weight length."""
-        lt, u = path_state(slope, self._jets, _grad_step)
-        ell = _ell_from_log(lt)
+        """(length, g1, g2, g3), g the unit-weight length's gradient: one jet walk per axis."""
+        (lt, dx), (_, dy), (_, dz) = (
+            path_state(slope, _root_jets(self.point, *axis), _jet_step)
+            for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
         f = _dlen_factor(lt)
-        return ell, f * u[0], f * u[1], f * u[2]
+        return _ell_from_log(lt), f * dx, f * dy, f * dz
 
 
 def _ell_from_log(lt: float) -> float:
@@ -315,6 +295,12 @@ def _dlen_factor(lt: float) -> float:
     if lt >= _LONG:
         return 2.0  # the root rounds to 1
     return 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
+
+
+def _dlog_length(state: tuple[float, float]) -> float:
+    """d(log length)(V) from the (log t, D) state of one slope."""
+    lt, dt = state
+    return _dlen_factor(lt) * dt / _ell_from_log(lt)
 
 
 def length(point: MarkovPoint, lam: WeightedLamination) -> float:
@@ -451,29 +437,16 @@ def thurston_norm(
     """Sup of d(log length)(V) over slopes: the asymmetric Finsler norm.
 
     Weights cancel in d(length)(V)/length, so the sup over weighted
-    laminations reduces to unweighted slopes.  No certified subtree bound
-    is available for this sign-indefinite objective; the exhaustive sweep
-    reports its stabilization depth instead.
+    laminations reduces to unweighted slopes, and only d(log t)(V) goes down
+    the tree.  No certified subtree bound is available for this
+    sign-indefinite objective; the exhaustive sweep reports its
+    stabilization depth instead.
     """
     if v.at != point:
         raise ValueError("tangent vector belongs to a different point")
-
-    wx, wy, wz = v.wx, v.wy, v.wz
-
-    def objective(state: tuple) -> float:
-        # _ell_from_log and _dlen_factor inlined
-        lt, u = state
-        if lt < _LONG:
-            ell = 2.0 * math.acosh(0.5 * math.exp(lt))
-            f = 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
-        else:
-            ell = 2.0 * lt
-            f = 2.0
-        return (f * u[0] * wx + f * u[1] * wy + f * u[2] * wz) / ell
-
     return maximize(
-        SupQuery(objective, None, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
-                 roots=_root_jets(point), combine=_grad_step)
+        SupQuery(_dlog_length, None, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
+                 roots=_root_jets(point, v.wx, v.wy, v.wz), combine=_jet_step)
     )
 
 
