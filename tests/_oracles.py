@@ -280,33 +280,21 @@ def pair_step_reference(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
     return (log_step_reference(a[0], b[0], c[0]), log_step_reference(a[1], b[1], c[1]))
 
 
-def grad_step_reference(a: tuple, b: tuple, c: tuple) -> tuple:
-    la, ua = a[0], a[1]
-    lb, ub = b[0], b[1]
-    lc, uc = c[0], c[1]
-    lm = log_step_reference(la, lb, lc)
-    r = math.exp(lc - lm)
-    s = 1.0 + r
-    return lm, (
-        s * (ua[0] + ub[0]) - r * uc[0],
-        s * (ua[1] + ub[1]) - r * uc[1],
-        s * (ua[2] + ub[2]) - r * uc[2],
-    )
+def jet_step_reference(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
+    """(log t, D) at the mediant, D the derivative of log t along one direction."""
+    lm = log_step_reference(a[0], b[0], c[0])
+    r = math.exp(c[0] - lm)  # t_c / t_m
+    return lm, (1.0 + r) * (a[1] + b[1]) - r * c[1]
 
 
 def length_ratio_reference(state: tuple[float, float]) -> float:
     return ell_from_log_reference(state[1]) / ell_from_log_reference(state[0])
 
 
-def norm_objective_reference(v):
-    """The thurston_norm objective for tangent v, from the full formulas."""
-
-    def objective(state: tuple) -> float:
-        lt, u = state
-        f = dlen_factor_reference(lt)
-        return (f * u[0] * v.wx + f * u[1] * v.wy + f * u[2] * v.wz) / ell_from_log_reference(lt)
-
-    return objective
+def norm_objective_reference(state: tuple[float, float]) -> float:
+    """The thurston_norm objective at a (log t, D) state, from the full formulas."""
+    lt, dt = state
+    return dlen_factor_reference(lt) * dt / ell_from_log_reference(lt)
 
 
 def exact_length(point, slope) -> float:

@@ -31,8 +31,8 @@ from _oracles import (
     dlen_factor_reference,
     ell_from_log_reference,
     exact_length,
-    grad_step_reference,
     holonomy_matrices,
+    jet_step_reference,
     length_ratio_reference,
     log_step_reference,
     norm_objective_reference,
@@ -701,12 +701,12 @@ class TestLongCurveShortcuts:
     @pytest.mark.parametrize("point", CHART_POINTS[:4] + BOUNDARY_POINTS[:2] + TWISTED_POINTS)
     def test_norm_sweep_is_bit_identical(self, point):
         v = tangent_from_chart(point, 1.0, -0.5)
-        roots = ptorus._root_jets(point)
-        got, _ = swept_states(roots, ptorus._grad_step, 11)
-        want, _ = swept_states(roots, grad_step_reference, 11)
+        roots = ptorus._root_jets(point, v.wx, v.wy, v.wz)
+        got, _ = swept_states(roots, ptorus._jet_step, 11)
+        want, _ = swept_states(roots, jet_step_reference, 11)
         assert len(got) == 3 * 2 ** 11 and got == want
-        reference = maximize(SupQuery(norm_objective_reference(v), None, max_depth=11,
-                                      roots=roots, combine=grad_step_reference))
+        reference = maximize(SupQuery(norm_objective_reference, None, max_depth=11,
+                                      roots=roots, combine=jet_step_reference))
         assert thurston_norm(point, v, max_depth=11) == reference
 
     @pytest.mark.parametrize("total", [
@@ -733,8 +733,8 @@ class TestLongCurveShortcuts:
             _same_call(ptorus._log_step, log_step_reference, la, lb, lc)
             _same_call(ptorus._pair_step, pair_step_reference, (la, 1.0), (lb, 1.0), (lc, 0.5))
             _same_call(ptorus._pair_step, pair_step_reference, (1.0, la), (1.0, lb), (0.5, lc))
-            grads = ((la, (0.25, -1.0, 3.0)), (lb, (1.5, 2.0, -0.125)), (lc, (-7.0, 0.5, 1e3)))
-            _same_call(ptorus._grad_step, grad_step_reference, *grads)
+            for da, db, dc in ((0.25, 1.5, -7.0), (-1.0, 2.0, 0.5), (3.0, -0.125, 1e3)):
+                _same_call(ptorus._jet_step, jet_step_reference, (la, da), (lb, db), (lc, dc))
         assert checked_skip >= 30 and checked_full >= 100
 
     def test_trace_step_on_inf_and_nan(self):
@@ -743,8 +743,8 @@ class TestLongCurveShortcuts:
                            (1.0, 1.0, -inf), (nan, 1.0, 1.0), (1.0, 1.0, nan), (inf, -inf, 1.0)):
             _same_call(ptorus._log_step, log_step_reference, la, lb, lc)
             _same_call(ptorus._pair_step, pair_step_reference, (la, 2.0), (lb, 2.0), (lc, 1.0))
-            grads = ((la, (1.0, 0.0, 0.0)), (lb, (0.0, 1.0, 0.0)), (lc, (0.0, 0.0, 1.0)))
-            _same_call(ptorus._grad_step, grad_step_reference, *grads)
+            for da, db, dc in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+                _same_call(ptorus._jet_step, jet_step_reference, (la, da), (lb, db), (lc, dc))
 
     def test_length_formula_at_the_threshold(self):
         grid = [30.0, math.nextafter(30.0, -math.inf), math.nextafter(30.0, math.inf),
