@@ -3,8 +3,8 @@
 Everything here recomputes expected values by a route different from the
 library code under test: finite differences for gradients, exhaustive
 level-by-level tree walks for suprema, direct lattice geometry for
-intersection numbers, exact rational arithmetic for the trace recursion,
-and scipy for hulls and generalized eigenvalues.
+intersection numbers, exact rational arithmetic for the trace recursion
+and its derivative, and scipy for hulls and generalized eigenvalues.
 The flat-torus norm's closed form is cross-checked against its certified
 sup over rational slopes, found by the Farey engine.
 """
@@ -297,32 +297,47 @@ def norm_objective_reference(state: tuple[float, float]) -> float:
     return dlen_factor_reference(lt) * dt / ell_from_log_reference(lt)
 
 
-def exact_length(point, slope) -> float:
-    """Length of the slope's curve from t_m = t_a t_b - t_c in exact arithmetic.
+def exact_jet(point, slope, w=(0.0, 0.0, 0.0)) -> tuple[Fraction, Fraction]:
+    """(t, dt) at the slope from t_m = t_a t_b - t_c in exact arithmetic.
 
     The recursion runs in Fraction on the point's float trace triple (x at
-    1/0, y at 0/1, z at 1/1), down the Stern-Brocot path of the slope, so
-    no cancellation is lost; only the final trace is rounded to a float.
+    1/0, y at 0/1, z at 1/1) and the float tangent w = (wx, wy, wz), down the
+    Stern-Brocot path of the slope, with dt_m = dt_a t_b + t_a dt_b - dt_c,
+    so no cancellation is lost.
     """
-    x, y, z = (Fraction(v) for v in (point.x, point.y, point.z))
+    x, y, z = ((Fraction(t), Fraction(dt)) for t, dt in zip((point.x, point.y, point.z), w))
+
+    def step(a, b, c):
+        return a[0] * b[0] - c[0], a[1] * b[0] + a[0] * b[1] - c[1]
+
     target = (slope.p, slope.q)
     if target in ((1, 0), (0, 1)):
-        t = x if target == (1, 0) else y
+        return x if target == (1, 0) else y
+    # a cell's endpoints (left, right) with jets jl, jr and its opposite vertex's jc
+    if slope.p >= 0:
+        left, jl, right, jr, jc = (0, 1), y, (1, 0), x, step(x, y, z)
     else:
-        # a cell's endpoints (left, right) with traces tl, tr and its opposite vertex's tc
-        if slope.p >= 0:
-            left, tl, right, tr, tc = (0, 1), y, (1, 0), x, x * y - z
+        left, jl, right, jr, jc = (-1, 0), x, (0, 1), y, z
+    while True:
+        mid, jet = (left[0] + right[0], left[1] + right[1]), step(jl, jr, jc)
+        if mid == target:
+            return jet
+        if target[0] * mid[1] - target[1] * mid[0] < 0:
+            right, jr, jc = mid, jet, jr
         else:
-            left, tl, right, tr, tc = (-1, 0), x, (0, 1), y, z
-        while True:
-            mid, t = (left[0] + right[0], left[1] + right[1]), tl * tr - tc
-            if mid == target:
-                break
-            if target[0] * mid[1] - target[1] * mid[0] < 0:
-                right, tr, tc = mid, t, tr
-            else:
-                left, tl, tc = mid, t, tl
-    return 2.0 * math.acosh(float(t) / 2.0)
+            left, jl, jc = mid, jet, jl
+
+
+def exact_length(point, slope) -> float:
+    """Length of the slope's curve from the exact trace; only that trace is rounded."""
+    return 2.0 * math.acosh(float(exact_jet(point, slope)[0]) / 2.0)
+
+
+def exact_dlog_length(point, v, slope) -> float:
+    """d(log length)(V) = 2 dt / (sqrt(t^2 - 4) * length) from the exact (t, dt)."""
+    t, dt = exact_jet(point, slope, (v.wx, v.wy, v.wz))
+    root = math.sqrt(float(1 - 4 / (t * t)))  # sqrt(t^2 - 4) / t
+    return 2.0 * float(dt / t) / (root * 2.0 * math.acosh(float(t) / 2.0))
 
 
 # -- Dehn twists as polynomial maps of the trace triple ------------------------

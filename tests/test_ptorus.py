@@ -6,7 +6,7 @@ import pytest
 
 from torusmetrics import ptorus
 from torusmetrics.errors import InvalidPointError, OutOfChartError
-from torusmetrics.farey import Slope, enumerate_slopes, root_nodes
+from torusmetrics.farey import SLOPE_ROOTS, Slope, add_slopes, enumerate_slopes, root_nodes
 from torusmetrics.ptorus import (
     MarkovPoint,
     TraceCache,
@@ -30,6 +30,7 @@ from _oracles import (
     dehn_twist_reference,
     dlen_factor_reference,
     ell_from_log_reference,
+    exact_dlog_length,
     exact_length,
     holonomy_matrices,
     jet_step_reference,
@@ -52,6 +53,13 @@ def lam(weight, p, q):
 
 def random_chart_point(rng, lo=3.0, hi=6.0):
     return from_parameters(rng.uniform(lo, hi), rng.uniform(lo, hi))
+
+
+def random_thin_point(rng):
+    # near the chart's edge, where the 1/0 curve is short
+    x = rng.uniform(2.2, 3.0)
+    y_min = 2.0 * x / math.sqrt(x * x - 4.0)  # the chart is real from here on
+    return from_parameters(x, rng.uniform(1.01 * y_min, y_min + 3.0))
 
 
 class TestMarkovPoint:
@@ -184,10 +192,7 @@ class TestTraceOfSlope:
         slopes = [Slope(sign * p, q) for n in range(2, 41) for p, q in ((n, 1), (2 * n - 1, 2))
                   for sign in (1, -1)]
         points = [random_chart_point(rng) for _ in range(4)]
-        for _ in range(4):
-            x = rng.uniform(2.2, 3.0)
-            y_min = 2.0 * x / math.sqrt(x * x - 4.0)  # the chart is real from here on
-            points.append(from_parameters(x, rng.uniform(1.01 * y_min, y_min + 3.0)))
+        points += [random_thin_point(rng) for _ in range(4)]
         for point in points:
             cache = TraceCache(point)
             for s in slopes:
@@ -506,6 +511,23 @@ class TestThurstonNorm:
                 total += thurston_norm(mid, vel, tol=tol, max_depth=8).value
             d = math.log(thurston_distance(src, dst, tol=tol, max_depth=10).value)
             assert total >= d - 5 * tol
+
+
+    def test_objective_matches_exact_jets(self):
+        # the swept (log t, D) states, scored by _dlog_length, against (t, dt)
+        # carried exactly from the same float triple and tangent, to depth 7
+        rng = random.Random(52)
+        points = [random_chart_point(rng) for _ in range(4)]
+        points += [random_thin_point(rng) for _ in range(4)]
+        slopes, _ = swept_states(SLOPE_ROOTS, add_slopes, 7)
+        for point in points:
+            v = tangent_from_chart(point, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            states, _ = swept_states(ptorus._root_jets(point, v.wx, v.wy, v.wz), ptorus._jet_step, 7)
+            assert len(states) == len(slopes) == 3 * 2 ** 7
+            scale = max(abs(exact_dlog_length(point, v, s)) for s in SLOPE_ROOTS)
+            for slope, state in zip(slopes, states):
+                want = exact_dlog_length(point, v, slope)
+                assert abs(ptorus._dlog_length(state) - want) <= 1e-12 * scale, (point, v, slope)
 
 
 class TestDehnTwist:
