@@ -52,7 +52,8 @@ def _note_uncertified(res: SupRatioResult, args: argparse.Namespace) -> None:
     """Say on stderr why a certified search stopped short of the tolerance."""
     if not res.certified:
         reason = (f"eval cap after {res.evals} evaluations" if res.hit_eval_cap
-                  else f"depth cap at {args.max_depth}")
+                  else f"depth cap at {args.max_depth}" if args.max_depth is not None
+                  else f"the walk ended after {res.evals} evaluations")
         print(f"note: not certified at tol {args.tol!r}: {reason}, gap frontier_bound - value"
               f" = {res.frontier_bound - res.value!r}", file=sys.stderr)
 

@@ -94,6 +94,15 @@ class TestDistTeich:
             f"gap frontier_bound - value = {gap!r}"
         ]
 
+    def test_uncapped_walk_that_stops_short_names_no_cap(self, capsys):
+        # no --max-depth: the walk ends after the 4 root slopes, short of tol
+        args = ["dist-teich", "--from=-4.8081533187256646e+300+1.89859110385056e+305i",
+                "--to", "2.88205481313968i", "--require-certified"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "None" not in err
+        assert err.startswith("note: not certified at tol 1e-06: the walk ended after 4 evaluations, ")
+
     def test_deep_argmax_certifies_with_no_cap(self, capsys):
         # the argmax n/1 lies past 10**6 and past the float range
         args = ["dist-teich", "--from=-4.9607694239991494e153+9.887243906821714e153i",
