@@ -334,10 +334,10 @@ def exact_length(point, slope) -> float:
 
 
 def exact_dlog_length(point, v, slope) -> float:
-    """d(log length)(V) = 2 dt / (sqrt(t^2 - 4) * length) from the exact (t, dt)."""
+    """d(log length)(V) = 2 dt / (sqrt(t^2 - 4) * 2 arccosh(t/2)) from the exact (t, dt)."""
     t, dt = exact_jet(point, slope, (v.wx, v.wy, v.wz))
     root = math.sqrt(float(1 - 4 / (t * t)))  # sqrt(t^2 - 4) / t
-    return 2.0 * float(dt / t) / (root * 2.0 * math.acosh(float(t) / 2.0))
+    return float(dt / t) / (root * math.acosh(float(t) / 2.0))
 
 
 # -- Dehn twists as polynomial maps of the trace triple ------------------------
