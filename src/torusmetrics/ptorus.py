@@ -10,8 +10,8 @@ carries x, 0/1 carries y, 1/1 carries z.  Hyperbolic lengths are
 
 Traces grow doubly exponentially along balanced Farey paths and overflow
 doubles near depth 12, so the recursion runs in log space (``_log_step``),
-with the derivative of log(trace) along one direction where a differential
-is needed (``_jet_step``); lengths and their differentials stay accurate.
+with the derivatives of log(trace) along two directions where differentials
+are needed (``_jet_step``); lengths and their differentials stay accurate.
 
 Long curves take two shortcuts that skip work whose result rounds away,
 so every value is bit-identical to the full formula:
@@ -238,20 +238,20 @@ def _log_step(la: float, lb: float, lc: float) -> float:
     return lm
 
 
-def _jet_step(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
-    """(log t, D = d(log t)(V)) at the mediant, from the same at a, b, c.
+def _jet_step(a: tuple, b: tuple, c: tuple) -> tuple[float, float, float]:
+    """(log t, D_V, D_W) at the mediant, D = d(log t) along V and W, from the same at a, b, c.
 
     D_m = (1 + r)(D_a + D_b) - r D_c, with r = t_c / t_m, is t_m = t_a t_b - t_c differentiated.
     """
     lm = _log_step(a[0], b[0], c[0])
     r = math.exp(c[0] - lm)
-    return lm, (1.0 + r) * (a[1] + b[1]) - r * c[1]
+    return lm, (1.0 + r) * (a[1] + b[1]) - r * c[1], (1.0 + r) * (a[2] + b[2]) - r * c[2]
 
 
-def _root_jets(point: MarkovPoint, wx: float, wy: float, wz: float) -> tuple:
-    """(log t, D) at the slopes 0/1, 1/0, 1/1, along V = (wx, wy, wz)."""
-    x, y, z = point.x, point.y, point.z
-    return (math.log(y), wy / y), (math.log(x), wx / x), (math.log(z), wz / z)
+def _root_jets(point: MarkovPoint, v: tuple, w: tuple) -> tuple:
+    """(log t, D_V, D_W) at the slopes 0/1, 1/0, 1/1, for ambient V = (vx, vy, vz) and W."""
+    return tuple((math.log(t), v[i] / t, w[i] / t)
+                 for i, t in ((1, point.y), (0, point.x), (2, point.z)))
 
 
 class TraceCache:
@@ -276,9 +276,9 @@ class TraceCache:
 
     def length_dlog(self, slope: Slope) -> tuple[float, float, float, float]:
         """(length, g1, g2, g3), g the unit-weight length's gradient: one jet walk per axis."""
-        (lt, dx), (_, dy), (_, dz) = (
-            path_state(slope, _root_jets(self.point, *axis), _jet_step)
-            for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        (lt, dx, dy), (_, dz, _) = (
+            path_state(slope, _root_jets(self.point, *axes), _jet_step)
+            for axes in (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 1.0),) * 2))
         f = _dlen_factor(lt)
         return _ell_from_log(lt), f * dx, f * dy, f * dz
 
@@ -297,10 +297,10 @@ def _dlen_factor(lt: float) -> float:
     return 2.0 / math.sqrt(1.0 - 4.0 * math.exp(-2.0 * lt))
 
 
-def _dlog_length(state: tuple[float, float]) -> float:
-    """d(log length)(V) from the (log t, D) state of one slope."""
-    lt, dt = state
-    return _dlen_factor(lt) * dt / _ell_from_log(lt)
+def _dlog_length(state: tuple) -> float:
+    """d(log length)(V) from the (log t, D_V, ...) state of one slope."""
+    lt = state[0]
+    return _dlen_factor(lt) * state[1] / _ell_from_log(lt)
 
 
 def length(point: MarkovPoint, lam: WeightedLamination) -> float:
@@ -399,6 +399,50 @@ def _length_ratio(state: tuple[float, float]) -> float:
     return hy / hx
 
 
+def _ray_tangent(a: tuple, b: tuple, c: tuple) -> tuple:
+    """(g_a, tangent) in the (V, W) plane at slope a, toward b in the cell with opposite c.
+
+    On the ray b + j*a, ell = j*ell_a + 2 log A + O(lam^-2j) with lam = e^(ell_a/2) and
+    A = (t_b lam - t_c)/(lam - 1/lam), so j*(g_(b+ja) - g_a) tends to a positive
+    multiple of d log A - log A * g_a: NaN where A does not come out positive.
+    """
+    ell, f = _ell_from_log(a[0]), _dlen_factor(a[0])
+    u = math.exp(min(c[0] - b[0] - 0.5 * ell, 0.0))  # t_c / (t_b lam)
+    u, m = u if u < 1.0 else math.nan, -math.expm1(-ell)  # m = 1 - lam^-2
+    log_a, k, e = b[0] + math.log1p(-u) - math.log(m), u / (1.0 - u), math.exp(-ell) / m
+    g = (f * a[1] / ell, f * a[2] / ell)
+    return g, tuple(db - k * (dc - db - 0.5 * ell * gi) - (e * ell + log_a) * gi
+                    for gi, db, dc in zip(g, b[1:], c[1:]))
+
+
+def _norm_bound(left: tuple, right: tuple, opp: tuple) -> float:
+    """Upper bound for d(log ell)(V) over the slopes strictly inside a Farey cell.
+
+    Arguments are the (log t, D_V, D_W) states at the endpoints a, b and the
+    opposite vertex.  lambda -> d log ell_lambda embeds PML as the boundary of
+    the convex dual unit ball (Thurston, arXiv:math/9801039), so the cell's
+    covectors lie on a convex arc, in the triangle of g_a, g_b and the apex
+    where the tangents at g_a and g_b meet: the bound is max(g_a(V), g_b(V),
+    apex(V)), or +inf if they do not meet on the arc's side.  The margin for
+    the objective's rounding is 1e-12 of the running sum of |terms| of the
+    mediant's D_V, f*(|D_a + D_b|(1 + r) + r|D_c|)/ell with r = t_c/t_m, not
+    of its value, which cancels where V nearly annuls a covector.
+    """
+    (ga, ta), (gb, tb) = _ray_tangent(left, right, opp), _ray_tangent(right, left, opp)
+    g = math.exp(opp[0] - left[0] - right[0])  # t_c / (t_a t_b)
+    lm = left[0] + right[0] + math.log1p(-g) if g < 1.0 else -math.inf
+    dx, dy = gb[0] - ga[0], gb[1] - ga[1]  # the chord, against the tangents:
+    ca, cb = dx * ta[1] - dy * ta[0], abs(dx * tb[1] - dy * tb[0])  # cross products
+    da, db = dx * ta[0] + dy * ta[1], -(dx * tb[0] + dy * tb[1])  # dot products
+    den = abs(ca) * db + cb * da  # sin(angle at a + angle at b), scaled
+    if not (den > 0.0 and lm > _LOG2):
+        return math.inf
+    r = g / (1.0 - g)
+    terms = (1.0 + r) * abs(left[1] + right[1]) + r * abs(opp[1])
+    margin = 1e-12 * _dlen_factor(lm) * terms / _ell_from_log(lm)
+    return max(ga[0], gb[0], ga[0] + cb * (da * dx - ca * dy) / den) + margin
+
+
 def thurston_distance(
     src: MarkovPoint,
     dst: MarkovPoint,
@@ -436,17 +480,23 @@ def thurston_norm(
 ) -> SupRatioResult:
     """Sup of d(log length)(V) over slopes: the asymmetric Finsler norm.
 
-    Weights cancel in d(length)(V)/length, so the sup over weighted
-    laminations reduces to unweighted slopes, and only d(log t)(V) goes down
-    the tree.  No certified subtree bound is available for this
-    sign-indefinite objective; the exhaustive sweep reports its
-    stabilization depth instead.
+    Weights cancel in d(length)(V)/length, so the sup over weighted laminations
+    reduces to unweighted slopes, and d(log t) along V and W = n x V, n the unit
+    normal of the trace relation, goes down the tree.  The sweep to ``max_depth``
+    drops the cells that _norm_bound puts below the shallower tiers' best value,
+    which changes only ``evals``, and reports certified = False with the
+    empirical stabilization depth.
     """
     if v.at != point:
         raise ValueError("tangent vector belongs to a different point")
+    x, y, z = point.x, point.y, point.z
+    n = (2 * x - y * z, 2 * y - x * z, 2 * z - x * y)  # normal to the trace relation
+    n = [c / math.hypot(*n) for c in n]
+    w = (n[1] * v.wz - n[2] * v.wy, n[2] * v.wx - n[0] * v.wz, n[0] * v.wy - n[1] * v.wx)
     return maximize(
-        SupQuery(_dlog_length, None, tolerance=tol, max_depth=max_depth, max_evals=max_evals,
-                 roots=_root_jets(point, v.wx, v.wy, v.wz), combine=_jet_step)
+        SupQuery(_dlog_length, _norm_bound, tolerance=tol, max_depth=max_depth,
+                 max_evals=max_evals, roots=_root_jets(point, (v.wx, v.wy, v.wz), w),
+                 combine=_jet_step, exhaustive=True)
     )
 
 

@@ -280,20 +280,20 @@ def pair_step_reference(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
     return (log_step_reference(a[0], b[0], c[0]), log_step_reference(a[1], b[1], c[1]))
 
 
-def jet_step_reference(a: tuple, b: tuple, c: tuple) -> tuple[float, float]:
-    """(log t, D) at the mediant, D the derivative of log t along one direction."""
+def jet_step_reference(a: tuple, b: tuple, c: tuple) -> tuple[float, float, float]:
+    """(log t, D_V, D_W) at the mediant, D the derivative of log t along V and along W."""
     lm = log_step_reference(a[0], b[0], c[0])
     r = math.exp(c[0] - lm)  # t_c / t_m
-    return lm, (1.0 + r) * (a[1] + b[1]) - r * c[1]
+    return (lm, *((1.0 + r) * (a[i] + b[i]) - r * c[i] for i in (1, 2)))
 
 
 def length_ratio_reference(state: tuple[float, float]) -> float:
     return ell_from_log_reference(state[1]) / ell_from_log_reference(state[0])
 
 
-def norm_objective_reference(state: tuple[float, float]) -> float:
-    """The thurston_norm objective at a (log t, D) state, from the full formulas."""
-    lt, dt = state
+def norm_objective_reference(state: tuple) -> float:
+    """The thurston_norm objective at a (log t, D_V, D_W) state, from the full formulas."""
+    lt, dt, _ = state
     return dlen_factor_reference(lt) * dt / ell_from_log_reference(lt)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -6,7 +7,10 @@ import pytest
 
 from torusmetrics import ptorus
 from torusmetrics.errors import InvalidPointError, OutOfChartError
-from torusmetrics.farey import SLOPE_ROOTS, Slope, add_slopes, enumerate_slopes, root_nodes
+from torusmetrics.farey import (
+    SLOPE_ROOTS, Slope, add_slopes, enumerate_slopes, mediant_state, path_state, root_cells,
+    root_nodes, split,
+)
 from torusmetrics.ptorus import (
     MarkovPoint,
     TraceCache,
@@ -514,7 +518,7 @@ class TestThurstonNorm:
 
 
     def test_objective_matches_exact_jets(self):
-        # the swept (log t, D) states, scored by _dlog_length, against (t, dt)
+        # the swept (log t, D_V, D_W) states, scored by _dlog_length, against (t, dt)
         # carried exactly from the same float triple and tangent, to depth 7
         rng = random.Random(52)
         points = [random_chart_point(rng) for _ in range(4)]
@@ -522,12 +526,109 @@ class TestThurstonNorm:
         slopes, _ = swept_states(SLOPE_ROOTS, add_slopes, 7)
         for point in points:
             v = tangent_from_chart(point, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            states, _ = swept_states(ptorus._root_jets(point, v.wx, v.wy, v.wz), ptorus._jet_step, 7)
+            states, _ = swept_states(_norm_query(point, v).roots, ptorus._jet_step, 7)
             assert len(states) == len(slopes) == 3 * 2 ** 7
             scale = max(abs(exact_dlog_length(point, v, s)) for s in SLOPE_ROOTS)
             for slope, state in zip(slopes, states):
                 want = exact_dlog_length(point, v, slope)
                 assert abs(ptorus._dlog_length(state) - want) <= 1e-12 * scale, (point, v, slope)
+
+
+def _thin_point(rng):
+    # x from 2.001: the 1/0 curve is as short as 0.06
+    x = rng.uniform(2.001, 2.3)
+    y_min = 2.0 * x / math.sqrt(x * x - 4.0)
+    return from_parameters(x, rng.uniform(1.01 * y_min, y_min + 3.0))
+
+
+_NORM_RNG = random.Random(20261022)
+NORM_POINTS = {
+    "thick": [random_chart_point(_NORM_RNG) for _ in range(2)],
+    "thin": [_thin_point(_NORM_RNG) for _ in range(2)],
+    "twisted": [dehn_twist(random_chart_point(_NORM_RNG), about, k)
+                for about, k in ((Slope(1, 0), 3), (Slope(1, 1), -2))],
+}
+
+
+class TestNormBound:
+    """_norm_bound against the slopes inside each cell, and the convexity it rests on."""
+
+    DIRECTIONS = [(math.cos(math.pi * k / 6), math.sin(math.pi * k / 6)) for k in range(12)]
+
+    @staticmethod
+    def cells(roots, depth):
+        """Every cell of the tree down to depth, as farey cells over (log t, D_V, D_W) states."""
+        pos, neg = root_cells(roots)
+        todo = [*split(pos, roots[2]), neg]
+        for cell in todo:
+            if cell[4] < depth:
+                todo.extend(split(cell, mediant_state(cell, ptorus._jet_step)))
+        return todo
+
+    @staticmethod
+    def interior(cell, levels):
+        """The objective at every slope of the cell's first levels."""
+        values, frontier = [], [cell]
+        for _ in range(levels):
+            mids = [mediant_state(c, ptorus._jet_step) for c in frontier]
+            values += map(ptorus._dlog_length, mids)
+            frontier = [child for c, m in zip(frontier, mids) for child in split(c, m)]
+        return values
+
+    @staticmethod
+    def ray(cell, side, first=20, last=400):
+        """The objective at right + j*left (side 0) or left + j*right (side 1), j = first..last."""
+        values = []
+        for j in range(1, last + 1):
+            mid = mediant_state(cell, ptorus._jet_step)
+            if j >= first:
+                values.append(ptorus._dlog_length(mid))
+            cell = split(cell, mid)[side]
+        return values
+
+    @pytest.mark.parametrize("kind", sorted(NORM_POINTS))
+    def test_bound_covers_the_interior_and_both_rays(self, kind):
+        checked = infinite = 0
+        for point in NORM_POINTS[kind]:
+            for vx, vy in self.DIRECTIONS:
+                roots = _norm_query(point, tangent_from_chart(point, vx, vy)).roots
+                for cell in self.cells(roots, 4):
+                    bound = ptorus._norm_bound(*cell[5:])
+                    inside = self.interior(cell, 8) + self.ray(cell, 0) + self.ray(cell, 1)
+                    assert bound >= max(inside), (point, vx, vy, cell[:5])
+                    checked += 1
+                    infinite += bound == math.inf
+        assert checked == 2 * 12 * 45 and infinite <= checked // 10
+
+    @pytest.mark.parametrize("kind", sorted(NORM_POINTS))
+    def test_covectors_are_in_convex_position_around_zero(self, kind):
+        # Thurston's dual ball: the covectors d log ell_s of the slopes to depth 8,
+        # in the (V, W) plane and in cyclic slope order, are the vertices of a
+        # convex polygon that winds once round 0.  Deep corners are finer than a
+        # double resolves, so a vertex may sit inside its neighbours' chord by
+        # rounding, by at most 1e-14 of the largest covector (3.6e-16 was seen)
+        slopes = sorted(enumerate_slopes(8), key=lambda s: (s.q > 0, s.p / max(s.q, 1)))
+
+        def cross(a, b):
+            return a[0] * b[1] - a[1] * b[0]
+
+        def rounds(path):
+            return sum(math.atan2(cross(a, b), a[0] * b[0] + a[1] * b[1])
+                       for a, b in zip(path, path[1:] + path[:1])) / (2.0 * math.pi)
+
+        for point in NORM_POINTS[kind]:
+            for vx, vy in ((0.6, -0.8), (1.0, 0.0), (-0.3, 0.7)):
+                roots = _norm_query(point, tangent_from_chart(point, vx, vy)).roots
+                states = [path_state(s, roots, ptorus._jet_step) for s in slopes]
+                g = [(ptorus._dlog_length(st), ptorus._dlog_length(st[::2])) for st in states]
+                edges = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(g, g[1:] + g[:1])]
+                turn = round(rounds(g))
+                assert turn in (-1, 1) and abs(rounds(g) - turn) < 1e-9, (point, vx, vy)
+                assert abs(rounds(edges) - turn) < 1e-9, (point, vx, vy)
+                # each vertex's distance from its neighbours' chord, outward
+                lifts = [turn * cross(a, b) / math.hypot(a[0] + b[0], a[1] + b[1])
+                         for a, b in zip(edges, edges[1:] + edges[:1])]
+                assert min(lifts) >= -1e-14 * max(math.hypot(*c) for c in g), (point, vx, vy)
 
 
 class TestDehnTwist:
@@ -683,6 +784,25 @@ def _pair_roots(src, dst):
                  for tx, ty in ((src.y, dst.y), (src.x, dst.x), (src.z, dst.z)))
 
 
+def _norm_query(point, v):
+    """The SupQuery that thurston_norm hands to the engine, at max_depth 0."""
+    seen = []
+    original = ptorus.maximize
+    ptorus.maximize = lambda query: seen.append(query) or original(query)
+    try:
+        thurston_norm(point, v, max_depth=0)
+    finally:
+        ptorus.maximize = original
+    return seen[0]
+
+
+def _same_sup(pruned, full):
+    """Everything but the eval count and the depth reached, as the pruned sweep promises."""
+    return all(getattr(pruned, field) == getattr(full, field)
+               for field in ("value", "argmax", "certified", "frontier_bound",
+                             "stabilization_depth", "hit_eval_cap"))
+
+
 def _same(got, want):
     # bit-equal, NaN included, through nested tuples
     if isinstance(want, tuple):
@@ -723,13 +843,17 @@ class TestLongCurveShortcuts:
     @pytest.mark.parametrize("point", CHART_POINTS[:4] + BOUNDARY_POINTS[:2] + TWISTED_POINTS)
     def test_norm_sweep_is_bit_identical(self, point):
         v = tangent_from_chart(point, 1.0, -0.5)
-        roots = ptorus._root_jets(point, v.wx, v.wy, v.wz)
+        roots = _norm_query(point, v).roots
         got, _ = swept_states(roots, ptorus._jet_step, 11)
         want, _ = swept_states(roots, jet_step_reference, 11)
         assert len(got) == 3 * 2 ** 11 and got == want
-        reference = maximize(SupQuery(norm_objective_reference, None, max_depth=11,
-                                      roots=roots, combine=jet_step_reference))
+        reference = maximize(SupQuery(norm_objective_reference, ptorus._norm_bound, max_depth=11,
+                                      roots=roots, combine=jet_step_reference, exhaustive=True))
+        # every field: value, argmax, evals, stabilization depth and the rest
         assert thurston_norm(point, v, max_depth=11) == reference
+        full = maximize(SupQuery(norm_objective_reference, None, max_depth=11,
+                                 roots=roots, combine=jet_step_reference))
+        assert _same_sup(reference, full)
 
     @pytest.mark.parametrize("total", [
         1.5, 2.0, math.nextafter(2.0, 0.0), 4.0, 64.0, math.nextafter(64.0, 0.0),
@@ -756,7 +880,8 @@ class TestLongCurveShortcuts:
             _same_call(ptorus._pair_step, pair_step_reference, (la, 1.0), (lb, 1.0), (lc, 0.5))
             _same_call(ptorus._pair_step, pair_step_reference, (1.0, la), (1.0, lb), (0.5, lc))
             for da, db, dc in ((0.25, 1.5, -7.0), (-1.0, 2.0, 0.5), (3.0, -0.125, 1e3)):
-                _same_call(ptorus._jet_step, jet_step_reference, (la, da), (lb, db), (lc, dc))
+                _same_call(ptorus._jet_step, jet_step_reference,
+                           (la, da, dc), (lb, db, da), (lc, dc, db))
         assert checked_skip >= 30 and checked_full >= 100
 
     def test_trace_step_on_inf_and_nan(self):
@@ -766,7 +891,8 @@ class TestLongCurveShortcuts:
             _same_call(ptorus._log_step, log_step_reference, la, lb, lc)
             _same_call(ptorus._pair_step, pair_step_reference, (la, 2.0), (lb, 2.0), (lc, 1.0))
             for da, db, dc in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-                _same_call(ptorus._jet_step, jet_step_reference, (la, da), (lb, db), (lc, dc))
+                _same_call(ptorus._jet_step, jet_step_reference,
+                           (la, da, dc), (lb, db, da), (lc, dc, db))
 
     def test_length_formula_at_the_threshold(self):
         grid = [30.0, math.nextafter(30.0, -math.inf), math.nextafter(30.0, math.inf),
@@ -817,7 +943,7 @@ def _pruning_panel():
 
 
 class TestPrunedSweep:
-    """The default distance drops cells bounded below the shallower tiers' best value.
+    """The distance and the norm drop cells bounded below the shallower tiers' best value.
 
     Everything it reports but the eval count and the depth reached must be
     the full sweep's, bit for bit.
@@ -841,6 +967,23 @@ class TestPrunedSweep:
             pruned_evals += got.evals
             full_evals += full.evals
         assert compared >= 100 and pruned_evals < full_evals / 5
+
+    def test_norm_matches_the_full_sweep(self):
+        # thick, thin and twisted points at every depth to 12, against the same
+        # query without its subtree bound
+        rng = random.Random(20261023)
+        points = [random_chart_point(rng) for _ in range(24)]
+        points += [_thin_point(rng) for _ in range(8)] + TWISTED_POINTS[:2] + NORM_POINTS["twisted"]
+        pruned_evals = full_evals = 0
+        for point in points:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            query = _norm_query(point, tangent_from_chart(point, math.cos(theta), math.sin(theta)))
+            query.max_depth = rng.randrange(13)
+            got, full = maximize(query), maximize(dataclasses.replace(query, subtree_bound=None))
+            assert got.evals <= full.evals and _same_sup(got, full), (point, theta, query.max_depth)
+            pruned_evals += got.evals
+            full_evals += full.evals
+        assert pruned_evals < full_evals / 5
 
     def test_self_distance_makes_no_bound_calls(self, monkeypatch):
         # every ratio is 1, so each tier reaches the best value and none is tested

@@ -34,7 +34,7 @@ V = ptorus.tangent_from_chart(Y, 1.0, 0.0)
 queries = [
     lambda: torus.teich_distance_enum(*pair),  # certified by the continued-fraction walk
     lambda: ptorus.thurston_distance(X, Y, max_depth=10),  # a pruned tier sweep
-    lambda: ptorus.thurston_norm(Y, V, max_depth=8),  # a full tier sweep
+    lambda: ptorus.thurston_norm(Y, V, max_depth=8),  # a pruned tier sweep
 ]
 untraced = [query() for query in queries]
 tracer = Tracer()
@@ -65,9 +65,9 @@ def test_benchmark_tracer_installs_on_the_package():
     # the flat-torus distance runs no engine, so the tracer counts nothing there
     assert teich == teich_bounds == 0 < teich_evals
     assert all(evals == untraced_evals > 0 for evals, _, untraced_evals in rows[1:])
-    assert dist_bounds > 0 and norm_bounds == 0
-    # the pruned sweep drops cells; the norm's sweep has no bound to drop them by
-    assert dist < 3 * 2 ** 10 and norm == 3 * 2 ** 8
+    assert dist_bounds > 0 and norm_bounds > 0
+    # both pruned sweeps drop cells
+    assert dist < 3 * 2 ** 10 and norm < 3 * 2 ** 8
 
 
 def test_every_exported_name_resolves():
