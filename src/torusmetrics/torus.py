@@ -325,7 +325,11 @@ def teich_distance_enum(
     row = max(rows, key=lambda r: max(abs(r[0]), abs(r[1])))
     # the roots, then e+ = (-row[1], row[0])'s convergents but the roots (only its first two)
     slope = -row[1] / row[0] if row[0] else math.inf
-    e_plus = convergents(*slope.as_integer_ratio()) if abs(slope) < math.inf else ()
+    if row[0] and abs(slope) == math.inf:  # the quotient overflows: walk the exact ratio
+        (n, d), (n0, d0) = (-row[1]).as_integer_ratio(), row[0].as_integer_ratio()
+        e_plus = convergents(n * d0 * (-1 if n0 < 0 else 1), d * abs(n0))
+    else:
+        e_plus = convergents(*slope.as_integer_ratio()) if abs(slope) < math.inf else ()
     # a slope p/q of the given frame is m' (p, q) in the reduced one, m' = (a, -b, -c, d)
     ma, mb, mc, md = m
     given, reduced = (md, mb, mc, ma), (ma, -mb, -mc, md)

@@ -95,13 +95,14 @@ class TestDistTeich:
         ]
 
     def test_uncapped_walk_that_stops_short_names_no_cap(self, capsys):
-        # no --max-depth: the walk ends after the 4 root slopes, short of tol
-        args = ["dist-teich", "--from=-4.8081533187256646e+300+1.89859110385056e+305i",
-                "--to", "2.88205481313968i", "--require-certified"]
+        # no --max-depth: the walk ends after 5 slopes, short of tol, as the
+        # subnormal target y loses the ratios' precision
+        args = ["dist-teich", "--from", "2.7121819682056222e-306i",
+                "--to=-3.1365216621708357e-281+5e-324i", "--require-certified"]
         assert main(args) == 3
         err = capsys.readouterr().err
         assert "None" not in err
-        assert err.startswith("note: not certified at tol 1e-06: the walk ended after 4 evaluations, ")
+        assert err.startswith("note: not certified at tol 1e-06: the walk ended after 5 evaluations, ")
 
     def test_deep_argmax_certifies_with_no_cap(self, capsys):
         # the argmax n/1 lies past 10**6 and past the float range
@@ -146,6 +147,15 @@ class TestDistTeich:
         expected = torus.teich_distance_oracle(torus.TorusPoint.parse(src), torus.TorusPoint.parse(dst))
         assert payload["distance"] == pytest.approx(expected, rel=1e-12, abs=0)
         assert payload["engine"]["certified"] is True
+
+    def test_stretch_slope_past_the_float_range_certifies(self, capsys):
+        # e+'s slope overflows a float in the reduced frame; its exact ratio does not
+        src, dst = "-4.8081533187256646e+300+1.89859110385056e+305i", "2.88205481313968i"
+        assert main(["dist-teich", f"--from={src}", "--to", dst, "--require-certified"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = torus.teich_distance_oracle(torus.TorusPoint.parse(src), torus.TorusPoint.parse(dst))
+        assert payload["distance"] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert (payload["engine"]["certified"], payload["engine"]["evals"]) == (True, 5)
 
     @pytest.mark.parametrize(
         "src, dst",

@@ -381,14 +381,19 @@ class TestDistanceEnum:
          ((0.0, 1e308), (0.0, 1.7976931348623157e308), 0.5 * math.log(1.7976931348623157)),
          ((7.57711401583171e+169, 0.3236965357034844),
           (3.51894288113125e+169, 8.201004751305414e+169), 196.29405662360253),
-         ((0.0, 1e300), (1e308, 1e308), 9.556913962256155)],
-        ids=["huge-y", "tiny-y", "tiny-y1y2", "y-near-the-float-max", "huge-x", "form-overflows"],
+         ((0.0, 1e300), (1e308, 1e308), 9.556913962256155),
+         ((-4.8081533187256646e+300, 1.89859110385056e+305), (0.0, 2.88205481313968),
+          350.9355309670572)],
+        ids=["huge-y", "tiny-y", "tiny-y1y2", "y-near-the-float-max", "huge-x", "form-overflows",
+             "stretch-slope-overflows"],
     )
     def test_oracle_stays_finite_at_extreme_moduli(self, t1, t2, expected):
         # dy^2 overflows, or y1*y2 underflows to 0, inside the acosh argument;
         # near the float maximum 2*sqrt(y1*y2) overflows unless dz is halved first;
         # at huge-x |tau|^2/y overflows at both points, but not in the reduced frame;
-        # at form-overflows |tau2|^2/y2 = 2e308 does there, and the walk scales A
+        # at form-overflows |tau2|^2/y2 = 2e308 does there, and the walk scales A;
+        # at stretch-slope-overflows e+'s slope, 1.04e7/1.39e-303 in the reduced
+        # frame, is no float, and the walk takes the exact ratio of the row entries
         d = teich_distance_oracle(TorusPoint(*t1), TorusPoint(*t2))
         assert d == pytest.approx(expected, rel=1e-12, abs=0)
         res = teich_distance_enum(TorusPoint(*t1), TorusPoint(*t2))
