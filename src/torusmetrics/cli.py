@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
 from . import ptorus, torus
@@ -247,6 +246,8 @@ def _run_gardiner_check(args: argparse.Namespace):
     n = args.samples
     if n < 1:
         raise ValueError("samples must be at least 1")
+    import random  # only this command draws: at module level every call paid ~1 ms for it
+
     rng = random.Random(args.seed)
     slopes = enumerate_slopes(6)
     worst = 0.0

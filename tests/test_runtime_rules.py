@@ -121,6 +121,17 @@ def test_import_leaves_fractions_and_decimal_unloaded():
     assert proc.stdout.split() == ["[]"]
 
 
+def test_cli_import_leaves_random_unloaded():
+    # only gardiner-check draws, and random costs every CLI call ~1 ms to
+    # import; -S too, as a site .pth file may load random on its own
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import torusmetrics.cli; "
+              "print('random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-I", "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_oracles_import_no_private_name_of_the_package():
     # an oracle that borrows the code it checks cannot catch its faults
     path = ROOT / "tests" / "_oracles.py"
