@@ -275,7 +275,7 @@ class TraceCache:
         return _ell_from_log(self.log_trace(slope))
 
     def length_dlog(self, slope: Slope) -> tuple[float, float, float, float]:
-        """(length, g1, g2, g3), g the unit-weight length's gradient: one jet walk per axis."""
+        """(length, g1, g2, g3), g the unit-weight length's gradient, from two jet walks."""
         (lt, dx, dy), (_, dz, _) = (
             path_state(slope, _root_jets(self.point, *axes), _jet_step)
             for axes in (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 1.0),) * 2))
